@@ -14,13 +14,12 @@ from gammaprod.bounds import SUITES, verify_suite
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
 
     worst_code = 0
     for suite in SUITES:
-        rep = verify_suite(suite, jobs=args.jobs)
+        rep = verify_suite(suite)
         status = "holds" if rep.holds else f"{rep.violations} violations"
         print(f"{suite:6s} {status:18s} worst margin {rep.worst_margin:+.6g}   [{rep.grid}]")
         if args.verbose:

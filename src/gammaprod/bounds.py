@@ -21,9 +21,8 @@ intervals are the known case: see the report notes).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from typing import Any, Callable, Sequence
 
 from .errors import DomainError
 from .gamma import beta_partial
@@ -32,8 +31,6 @@ from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
-
-SUITES = ("app1", "app5", "app6", "app7", "app8", "app9", "app10")
 
 
 @dataclass(frozen=True)
@@ -245,8 +242,14 @@ def app10_mu_lower(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-point margin functions (module level so process pools can ship them)
+# per-point margin functions
 # ---------------------------------------------------------------------------
+
+_APP1_POS = "Gamma(1/p) > bound (lower-bound direction)"
+
+def _app1_margins(p: int) -> list[tuple[str, float]]:
+    r = app1_bounds(p)
+    return [(_APP1_POS, r.gamma_pos - r.bound_pos), ("Gamma(-1/p) > bound", r.gamma_neg - r.bound_neg)]
 
 def _app5_margins(alpha: float) -> list[tuple[str, float]]:
     return [("gamma < 1/alpha", app5_upper(alpha) - ref_gamma(alpha))]
@@ -301,13 +304,11 @@ def _app9_gamma_side_margins(x: float) -> list[tuple[str, float]]:
     return [("L1 >= Gamma (1/2,inf)", l1 - g)]
 
 def _app9_refinement_margins(x: float, which: str) -> list[tuple[str, float]]:
+    """Margin of one refinement claim; ``which`` is its report label,
+    "K1 >= A on ...", "L1 <= D on ..." or "L1 <= E on ..."."""
     k1, l1 = app9_refined(x, 1)
     a, d, e = app9_alzer(x)
-    if which == "I1":
-        return [("K1 >= A on [0.241,0.5)", k1 - a)]
-    if which == "J1":
-        return [("L1 <= D on (0.5,0.526]", d - l1)]
-    return [("L1 <= E on [1.562,100]", e - l1)]
+    return [(which, {"K1 >= A": k1 - a, "L1 <= D": d - l1, "L1 <= E": e - l1}[which[:7]])]
 
 def _app10_margins(x: float) -> list[tuple[str, float]]:
     dec = app10_stirling(x)
@@ -331,143 +332,134 @@ def _app10_remark_margins(x: float) -> list[tuple[str, float]]:
     ]
 
 
-def _pmap(fn, points, jobs: int):
-    """Ordered map, optionally fanned out over a process pool."""
-    if jobs <= 1 or len(points) < 4:
-        return [fn(p) for p in points]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, points, chunksize=max(1, len(points) // (4 * jobs))))
+# ---------------------------------------------------------------------------
+# suite table: each suite builds its checks and notes; one serial driver
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Check:
+    """``margins(v, **kwargs)`` at every point ``v`` of ``grid``."""
+
+    margins: Callable[..., list[tuple[str, float]]]
+    var: str
+    grid: Sequence[float]
+    kwargs: dict[str, Any] = field(default_factory=dict)
+
+    def describe(self) -> str:
+        g = self.grid
+        span = "{" + ", ".join(f"{v:g}" for v in g) + "}" if len(g) <= 6 else f"[{g[0]:g}, {g[-1]:g}] x{len(g)}"
+        extra = "".join(f", {k} = {v!r}" for k, v in self.kwargs.items())
+        return f"{self.margins.__name__.strip('_').removesuffix('_margins')}: {self.var} in {span}{extra}"
 
 
-# ---------------------------------------------------------------------------
-# suite driver
-# ---------------------------------------------------------------------------
+# A builder takes (lo, hi, points, m) and returns its checks and a function
+# from the labeled margins to the notes.  It names the margin functions when
+# it runs, so each run looks them up among the module globals.
+_Plan = tuple[list[_Check], Callable[[list[tuple[str, float]]], list[str]]]
+
+def _or(value, default):
+    return default if value is None else value
+
+def _suite_app1(lo, hi, points, m) -> _Plan:
+    def notes(labeled):
+        dirs = {"lower" if v > 0.0 else "upper" for label, v in labeled if label == _APP1_POS}
+        return [f"positive-argument bound direction verified: {sorted(dirs)} (upper-bound reading fails)"]
+
+    return [_Check(_app1_margins, "p", range(int(_or(lo, 3)), int(_or(hi, 12)) + 1))], notes
+
+def _suite_app5(lo, hi, points, m) -> _Plan:
+    return [_Check(_app5_margins, "alpha", uniform_grid(_or(lo, 0.001), _or(hi, 0.999), points or 1000))], lambda _: []
+
+def _suite_app6(lo, hi, points, m) -> _Plan:
+    ys = uniform_grid(_or(lo, 0.1), _or(hi, 0.9), points or 9)
+    ms = (m,) if m is not None else (1, 2, 5)
+    return [_Check(_app6_margins, "y", ys, {"xs": (0.25, 0.5, 2.0, 4.0), "ms": ms})], lambda _: []
+
+def _suite_app7(lo, hi, points, m) -> _Plan:
+    ns, sm = range(int(_or(lo, 1)), int(_or(hi, 50)) + 1), _or(m, 5)
+    eq = "n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)"
+    return [_Check(_app7_margins, "n", ns, {"s": sm, "m": sm, "eq_tol": 1e-9})], lambda _: [eq] if 1 in ns else []
+
+def _suite_app8(lo, hi, points, m) -> _Plan:
+    alphas = [0.25, 0.5, 2.0, 3.5]
+    if lo is not None or hi is not None:
+        alphas = [a for a in uniform_grid(_or(lo, 0.1), _or(hi, 4.0), points or 9) if abs(a - 1.0) > 1e-9]
+    small = [a for a in alphas if a < 1.0]
+
+    def notes(labeled):
+        dominated = [a for a in small if app8_bound(a, 1) < (math.pi / 2.0) ** (a + 1.0) / (a + 1.0)]
+        return [
+            "m=1 upper bound vs (pi/2)^(a+1)/(a+1) on (0,1): recorded, not asserted "
+            f"(dominates at {len(dominated)}/{len(small)} sampled alphas; fails for a < ~0.535)"
+        ] if small else []
+
+    return [_Check(_app8_margins, "alpha", alphas, {"m": _or(m, 1)})], notes
+
+def _suite_app9(lo, hi, points, m) -> _Plan:
+    n, i_lo, i_hi = points or 1000, _or(lo, 0.241), _or(hi, 0.5)
+    i1, j1, p1 = f"K1 >= A on [{i_lo:g},{i_hi:g})", "L1 <= D on (0.5,0.526]", "L1 <= E on [1.562,100]"
+    checks = [
+        _Check(_app9_bracket_margins, "x", uniform_grid(0.001, 0.999, n)),
+        _Check(_app9_bracket_margins, "x", uniform_grid(1.0, 100.0, n, include_lo=False)),
+        _Check(_app9_gamma_side_margins, "x", uniform_grid(0.001, 0.499, n)),
+        _Check(_app9_gamma_side_margins, "x", uniform_grid(0.501, 100.0, n)),
+        _Check(_app9_refinement_margins, "x", uniform_grid(i_lo, i_hi, n, include_hi=False), {"which": i1}),
+        _Check(_app9_refinement_margins, "x", uniform_grid(0.5, 0.526, n, include_lo=False), {"which": j1}),
+        _Check(_app9_refinement_margins, "x", uniform_grid(1.562, 100.0, n), {"which": p1}),
+    ]
+
+    def notes(labeled):
+        # a closed-form counterexample of each claim that failed, taken on its grid's interval
+        failed = {label for label, v in labeled if not v > 0.0}
+        cited = []
+        if i1 in failed and i_lo <= 0.3 < i_hi:
+            cited.append(f"K1(0.3) = {app9_refined(0.3, 1)[0]:.6f} < A(0.3) = {app9_alzer(0.3)[0]:.6f}")
+        if p1 in failed:
+            cited.append(f"L1(1.562) = {app9_refined(1.562, 1)[1]:.6f} > E(1.562) = {app9_alzer(1.562)[2]:.6f}")
+        return ["refinement counterexamples are genuine, not numerical: " + "; ".join(cited)] if cited else []
+
+    return checks, notes
+
+def _suite_app10(lo, hi, points, m) -> _Plan:
+    return [
+        _Check(_app10_margins, "x", uniform_grid(_or(lo, 0.05), _or(hi, 50.0), points or 1000)),
+        _Check(_app10_improvement_margins, "x", uniform_grid(1e-4, 0.5, 10000, include_hi=False)),
+        _Check(_app10_remark_margins, "x", uniform_grid(0.144, 0.5, points or 1000, include_hi=False)),
+    ], lambda _: []
+
+
+_SUITES = {"app1": _suite_app1, "app5": _suite_app5, "app6": _suite_app6, "app7": _suite_app7,
+           "app8": _suite_app8, "app9": _suite_app9, "app10": _suite_app10}
+SUITES = tuple(_SUITES)
+
 
 def _reduce(suite: str, grid_desc: str, labeled: list[tuple[str, float]], notes: list[str]) -> BoundReport:
-    violations = sum(1 for _, mgn in labeled if mgn <= 0.0 or math.isnan(mgn))
-    worst = min((mgn for _, mgn in labeled), default=math.inf)
     by_label: dict[str, list[float]] = {}
     for label, mgn in labeled:
         by_label.setdefault(label, []).append(mgn)
+    violations = 0
     for label, ms in by_label.items():
-        bad = sum(1 for v in ms if v <= 0.0 or math.isnan(v))
+        bad = sum(1 for v in ms if not v > 0.0)  # margin <= 0 or NaN
         if bad:
             notes.append(f"{label}: {bad}/{len(ms)} points violate (worst margin {min(ms):.6g})")
+        violations += bad
+    worst = min((mgn for _, mgn in labeled), default=math.inf)
     return BoundReport(suite, grid_desc, violations, worst, violations == 0, tuple(notes))
 
 
 def verify_suite(
-    suite: str,
-    lo: float | None = None,
-    hi: float | None = None,
-    points: int | None = None,
-    m: int | None = None,
-    jobs: int = 1,
+    suite: str, lo: float | None = None, hi: float | None = None, points: int | None = None, m: int | None = None
 ) -> BoundReport:
     """Run one suite's assertions over its grid and report the outcome.
 
     ``lo``/``hi``/``points`` override the suite's primary grid (for app1 and
     app7 they are integer ranges); ``m`` overrides the truncation order used
     by the bound being tested.  Claims are asserted exactly as stated; see
-    the module docstring for the sign convention.
+    the module docstring for the sign convention.  ``grid`` describes the
+    grids as run, check by check.
     """
-    if suite not in SUITES:
+    if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    labeled: list[tuple[str, float]] = []
-    notes: list[str] = []
-
-    if suite == "app1":
-        p_lo = int(lo) if lo is not None else 3
-        p_hi = int(hi) if hi is not None else 12
-        if p_lo < 3:
-            raise DomainError("app1 needs p >= 3")
-        results = [app1_bounds(p) for p in range(p_lo, p_hi + 1)]
-        for r in results:
-            labeled.append((f"Gamma(1/p) > bound (lower-bound direction)", r.gamma_pos - r.bound_pos))
-            labeled.append((f"Gamma(-1/p) > bound", r.gamma_neg - r.bound_neg))
-        dirs = {r.pos_direction for r in results}
-        notes.append(f"positive-argument bound direction verified: {sorted(dirs)} (upper-bound reading fails)")
-        grid_desc = f"p in {{{p_lo}..{p_hi}}}"
-
-    elif suite == "app5":
-        g = uniform_grid(lo if lo is not None else 0.001, hi if hi is not None else 0.999, points or 1000)
-        for margins in _pmap(_app5_margins, g, jobs):
-            labeled.extend(margins)
-        grid_desc = f"alpha in [{g[0]:g}, {g[-1]:g}], {len(g)} points"
-
-    elif suite == "app6":
-        ys = uniform_grid(lo if lo is not None else 0.1, hi if hi is not None else 0.9, points or 9)
-        xs = (0.25, 0.5, 2.0, 4.0)
-        ms = (m,) if m is not None else (1, 2, 5)
-        fn = partial(_app6_margins, xs=xs, ms=ms)
-        for margins in _pmap(fn, ys, jobs):
-            labeled.extend(margins)
-        grid_desc = f"y in [{ys[0]:g}, {ys[-1]:g}] x{len(ys)}, x in {xs}, m in {ms}"
-
-    elif suite == "app7":
-        n_lo = int(lo) if lo is not None else 1
-        n_hi = int(hi) if hi is not None else 50
-        sm = m if m is not None else 5
-        fn = partial(_app7_margins, s=sm, m=sm, eq_tol=1e-9)
-        for margins in _pmap(fn, list(range(n_lo, n_hi + 1)), jobs):
-            labeled.extend(margins)
-        if n_lo == 1:
-            notes.append("n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)")
-        grid_desc = f"n in {{{n_lo}..{n_hi}}}, s = m = {sm}"
-
-    elif suite == "app8":
-        if lo is not None or hi is not None:
-            alphas = [a for a in uniform_grid(lo or 0.1, hi or 4.0, points or 9) if abs(a - 1.0) > 1e-9]
-        else:
-            alphas = [0.25, 0.5, 2.0, 3.5]
-        fn = partial(_app8_margins, m=m if m is not None else 1)
-        for margins in _pmap(fn, alphas, jobs):
-            labeled.extend(margins)
-        small = [a for a in alphas if a < 1.0]
-        if small:
-            dominated = [a for a in small if app8_bound(a, 1) < (math.pi / 2.0) ** (a + 1.0) / (a + 1.0)]
-            notes.append(
-                "m=1 upper bound vs (pi/2)^(a+1)/(a+1) on (0,1): recorded, not asserted "
-                f"(dominates at {len(dominated)}/{len(small)} sampled alphas; fails for a < ~0.535)"
-            )
-        grid_desc = f"alpha in {alphas!r}" if len(alphas) <= 6 else f"alpha grid of {len(alphas)} points"
-
-    elif suite == "app9":
-        n_pts = points or 1000
-        g01 = uniform_grid(0.001, 0.999, n_pts)
-        g1inf = uniform_grid(1.0, 100.0, n_pts, include_lo=False)
-        for margins in _pmap(_app9_bracket_margins, g01 + g1inf, jobs):
-            labeled.extend(margins)
-        side = uniform_grid(0.001, 0.499, n_pts) + uniform_grid(0.501, 100.0, n_pts)
-        for margins in _pmap(_app9_gamma_side_margins, side, jobs):
-            labeled.extend(margins)
-        i1 = uniform_grid(lo if lo is not None else 0.241, hi if hi is not None else 0.5, n_pts, include_hi=False)
-        j1 = uniform_grid(0.5, 0.526, n_pts, include_lo=False)
-        p1 = uniform_grid(1.562, 100.0, n_pts)
-        for grid_part, tag in ((i1, "I1"), (j1, "J1"), (p1, "P1")):
-            fn = partial(_app9_refinement_margins, which=tag)
-            for margins in _pmap(fn, grid_part, jobs):
-                labeled.extend(margins)
-        notes.append(
-            "refinement counterexamples are genuine, not numerical: "
-            f"K1(0.3) = {app9_refined(0.3, 1)[0]:.6f} < A(0.3) = {app9_alzer(0.3)[0]:.6f}; "
-            f"L1(1.562) = {app9_refined(1.562, 1)[1]:.6f} > E(1.562) = {app9_alzer(1.562)[2]:.6f}"
-        )
-        grid_desc = f"brackets on (0,1) and (1,100], refinements on [0.241,0.5), (0.5,0.526], [1.562,100]; {n_pts} points each"
-
-    elif suite == "app10":
-        g_main = uniform_grid(lo if lo is not None else 0.05, hi if hi is not None else 50.0, points or 1000)
-        for margins in _pmap(_app10_margins, g_main, jobs):
-            labeled.extend(margins)
-        g_improve = uniform_grid(1e-4, 0.5, 10000, include_hi=False)
-        for margins in _pmap(_app10_improvement_margins, g_improve, jobs):
-            labeled.extend(margins)
-        g_remark = uniform_grid(0.144, 0.5, points or 1000, include_hi=False)
-        for margins in _pmap(_app10_remark_margins, g_remark, jobs):
-            labeled.extend(margins)
-        grid_desc = (
-            f"v(x) checks on [{g_main[0]:g}, {g_main[-1]:g}] x{len(g_main)}; "
-            "improvement on (0,0.5) x10000; mu bound on [0.144,0.5)"
-        )
-
-    return _reduce(suite, grid_desc, labeled, notes)
+    checks, notes = _SUITES[suite](lo, hi, points, m)
+    labeled = [pair for c in checks for v in c.grid for pair in c.margins(v, **c.kwargs)]
+    return _reduce(suite, "; ".join(c.describe() for c in checks), labeled, notes(labeled))

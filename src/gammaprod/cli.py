@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from . import bounds as bounds_mod
 from . import coeffs as coeffs_mod
@@ -29,24 +28,14 @@ EXIT_CONVERGENCE = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
 
-_VERBS = ("gamma", "jointfactor", "coeffs", "digamma", "trigamma", "beta", "identity", "bounds", "convergence")
-
-
-@dataclass(frozen=True)
-class Command:
-    """A parsed invocation: verb, verb parameters, output format/destination."""
-
-    verb: str
-    parameters: Mapping[str, Any]
-    fmt: str
-    output: str | None
-
-
 class _UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefix matching: --m is not --m-list
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # argparse would exit(2); we want 64
         raise _UsageError(message)
 
@@ -98,38 +87,44 @@ def _emit(text: str, output: str | None) -> None:
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
     if getattr(args, "tol", None) is not None:
         return TruncationPolicy(mode="adaptive", m=args.m, tol=args.tol)
-    if getattr(args, "tail", False):
+    if args.tail:
         return TruncationPolicy(mode="tail_corrected", m=args.m)
     return TruncationPolicy(mode="fixed", m=args.m)
 
 
+_POLICY_FLAGS = {
+    "m": {"type": int, "default": 1000, "help": "product truncation order"},
+    "tail": {"action": "store_true", "help": "apply the analytic tail correction"},
+    "tol": {"type": float, "default": None, "help": "relative tolerance (switches to adaptive truncation)"},
+}
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="gammaprod", description=__doc__)
-    sub = top.add_subparsers(dest="verb", metavar="|".join(_VERBS))
+    sub = top.add_subparsers(dest="verb", metavar="|".join(_HANDLERS))
 
-    def common(p: _Parser, m_default: int = 1000) -> None:
-        p.add_argument("--m", type=int, default=m_default, help="product truncation order")
-        p.add_argument("--tail", action="store_true", help="apply the analytic tail correction")
-        p.add_argument("--tol", type=float, default=None, help="relative tolerance (switches to adaptive truncation)")
+    def common(p: _Parser, *policy: str) -> None:
+        """The output flags, plus the policy flags the verb reads."""
+        for name in policy:
+            p.add_argument(f"--{name}", **_POLICY_FLAGS[name])
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for grid sweeps")
         p.add_argument("--output", default=None, help="destination path (default: stdout)")
 
     p = sub.add_parser("gamma", description="Gamma(q/p) via the rational product factorization")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    common(p)
+    common(p, "m", "tail", "tol")
 
     p = sub.add_parser("jointfactor", description="f(x,b) = Gamma(x+b)Gamma(1-b)/Gamma(x)")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    common(p)
+    common(p, "m", "tail", "tol")
 
     p = sub.add_parser("coeffs", description="log-series coefficients g_n(x,b), both construction routes")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p, m_default=1)
+    common(p)
 
     for verb in ("digamma", "trigamma"):
         p = sub.add_parser(verb, description=f"accelerated {verb} on (0,1)")
@@ -140,20 +135,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("beta", description="B(x,y) via the tail-corrected product")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    common(p)
+    common(p, "m", "tail")
 
     p = sub.add_parser("identity", description="infinite-product identity checks")
     p.add_argument("--name", choices=("sin", "tan", "pow2", "quarter"), required=True)
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    common(p)
+    common(p, "m", "tail")
 
     p = sub.add_parser("bounds", description="inequality verification suites")
     p.add_argument("--suite", choices=bounds_mod.SUITES, required=True)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
-    common(p)
+    common(p, "m")
     p.set_defaults(m=None)  # suites pick their own truncation orders
 
     p = sub.add_parser("convergence", description="truncation-order studies against the reference oracle")
@@ -162,7 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
-    common(p)
+    common(p, "tail")
     return top
 
 
@@ -238,7 +233,8 @@ def _do_coeffs(args) -> tuple[Any, int]:
     return payload, EXIT_OK
 
 
-def _do_polygamma(args, which: str) -> tuple[Any, int]:
+def _do_polygamma(args) -> tuple[Any, int]:
+    which = args.verb
     fn = poly_mod.digamma if which == "digamma" else poly_mod.trigamma
     res = fn(args.t, args.n0)
     oracle = ref_digamma(args.t) if which == "digamma" else ref_trigamma(args.t)
@@ -309,14 +305,7 @@ def _do_identity(args) -> tuple[Any, int]:
 
 
 def _do_bounds(args) -> tuple[Any, int]:
-    report = bounds_mod.verify_suite(
-        args.suite,
-        lo=args.lo,
-        hi=args.hi,
-        points=args.points,
-        m=args.m,
-        jobs=args.jobs,
-    )
+    report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=args.points, m=args.m)
     payload = {
         "op": "bounds",
         "suite": report.suite,
@@ -380,6 +369,19 @@ def _do_convergence(args) -> tuple[Any, int]:
     return ("csv", _render_csv(header, rows)), EXIT_OK
 
 
+_HANDLERS = {
+    "gamma": _do_gamma,
+    "jointfactor": _do_jointfactor,
+    "coeffs": _do_coeffs,
+    "digamma": _do_polygamma,
+    "trigamma": _do_polygamma,
+    "beta": _do_beta,
+    "identity": _do_identity,
+    "bounds": _do_bounds,
+    "convergence": _do_convergence,
+}
+
+
 def run(argv: Sequence[str]) -> int:
     """Execute one command line; returns the process exit code."""
     parser = _build_parser()
@@ -387,23 +389,7 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
         if args.verb is None:
             raise _UsageError("a verb is required")
-        cmd = Command(args.verb, vars(args), getattr(args, "format", "json"), getattr(args, "output", None))
-        if cmd.verb == "gamma":
-            payload, code = _do_gamma(args)
-        elif cmd.verb == "jointfactor":
-            payload, code = _do_jointfactor(args)
-        elif cmd.verb == "coeffs":
-            payload, code = _do_coeffs(args)
-        elif cmd.verb in ("digamma", "trigamma"):
-            payload, code = _do_polygamma(args, cmd.verb)
-        elif cmd.verb == "beta":
-            payload, code = _do_beta(args)
-        elif cmd.verb == "identity":
-            payload, code = _do_identity(args)
-        elif cmd.verb == "bounds":
-            payload, code = _do_bounds(args)
-        else:
-            payload, code = _do_convergence(args)
+        payload, code = _HANDLERS[args.verb](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -417,11 +403,11 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_OK
 
     if isinstance(payload, tuple) and payload and payload[0] == "csv":
-        _emit(payload[1], cmd.output)
-    elif cmd.fmt == "csv":
-        _emit(_dict_to_csv(payload), cmd.output)
+        _emit(payload[1], args.output)
+    elif args.format == "csv":
+        _emit(_dict_to_csv(payload), args.output)
     else:
-        _emit(_render_json(payload) + "\n", cmd.output)
+        _emit(_render_json(payload) + "\n", args.output)
     return code
 
 

@@ -44,14 +44,14 @@ _DELTA_SWITCH = 0.5
 
 @dataclass(frozen=True)
 class JointFactorSpec:
-    """Arguments (x, b) of a joint factor, x > 0 and 0 <= b < 1."""
+    """Arguments (x, b) of a joint factor, finite x > 0 and 0 <= b < 1."""
 
     x: float
     b: float
 
     def __post_init__(self) -> None:
-        if not self.x > 0.0:
-            raise DomainError(f"x must be positive, got {self.x}")
+        if not 0.0 < self.x < math.inf:
+            raise DomainError(f"x must be positive and finite, got {self.x}")
         if not 0.0 <= self.b < 1.0:
             raise DomainError(f"b must lie in [0, 1), got {self.b}")
 

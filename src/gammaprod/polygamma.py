@@ -28,7 +28,6 @@ from .reference import (
     power_tail,
     ref_digamma,
     ref_gamma,
-    ref_zeta,
 )
 
 
@@ -64,9 +63,10 @@ def _head_factors(t: float, n0: int):
 
 
 def zeta_tail(t: float, n0: int) -> float:
-    """sum_{n > n0} n^{-1-t} as zeta(1+t) minus the exact partial sum."""
+    """sum_{n > n0} n^{-1-t} by Euler-Maclaurin with six Bernoulli
+    corrections (the default four leave 2.6e-12 relative at n0 = 10)."""
     _validate(t, n0)
-    return ref_zeta(1.0 + t) - math.fsum(n ** (-1.0 - t) for n in range(1, n0 + 1))
+    return power_tail(1.0 + t, n0, corrections=6)
 
 
 def digamma(t: float, n0: int) -> PolygammaResult:
@@ -97,21 +97,6 @@ def digamma_series_raw(t: float, N: int) -> float:
     sin_over_pi = math.sin(math.pi * t) / math.pi
     head = math.fsum(fn / (n * n) for n, fn in _head_factors(t, N))
     return -EULER_GAMMA - sin_over_pi * head
-
-
-def digamma_bracket_variant(t: float, n0: int) -> float:
-    """Experimental variant with the bracket [1/Gamma(1-t) - sin(pi t)/pi]
-    applied to the head sum and a bare zeta term.
-
-    Does not converge to psi(t) as n0 grows (its limit differs by
-    (1/Gamma(1-t)) [sum f(n,1-t)/n^2 - zeta(1+t)]); it is kept only so the
-    discrepancy can be measured.  Do not use for evaluation.
-    """
-    _validate(t, n0)
-    head = math.fsum(fn / (n * n) for n, fn in _head_factors(t, n0))
-    g1mt = ref_gamma(1.0 - t)
-    bracket = 1.0 / g1mt - math.sin(math.pi * t) / math.pi
-    return -EULER_GAMMA + bracket * head - ref_zeta(1.0 + t) / g1mt
 
 
 def trigamma(t: float, n0: int) -> PolygammaResult:

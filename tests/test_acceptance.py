@@ -265,7 +265,7 @@ def test_criterion_09_app9_suite_as_stated():
         not rep.holds
         and found == expected
         and rep.violations == i1_below + 1000
-        and _APP9_I1 not in from_x_star,
+        and not any(label.startswith("K1 >= A") for label in from_x_star),
         f"x*={x_star!r}; expected {expected}, got {found} (violations={rep.violations}); "
         f"from x*: {from_x_star}",
     )

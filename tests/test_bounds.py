@@ -317,6 +317,19 @@ def test_app9_suite_reports_the_failures():
     assert any("counterexamples" in n for n in rep.notes)
 
 
+def test_app9_i1_report_follows_its_grid():
+    # [0.45, 0.5) lies above the crossing x* = 0.4175: I1 holds there, so
+    # neither a K1 violation nor the K1(0.3) counterexample is reported,
+    # while P1 still fails at every point
+    rep = verify_suite("app9", lo=0.45)
+    assert "which = 'K1 >= A on [0.45,0.5)'" in rep.grid
+    assert "x in [0.45, 0.49995] x999" in rep.grid
+    assert not any("K1" in n for n in rep.notes)
+    assert "L1 <= E on [1.562,100]: 1000/1000 points violate" in " ".join(rep.notes)
+    assert rep.violations == 1000
+    assert any(n.startswith("refinement counterexamples") and "L1(1.562)" in n for n in rep.notes)
+
+
 # --- app10 --------------------------------------------------------------
 
 def test_app10_stirling_invariants():
@@ -381,12 +394,6 @@ def test_app10_suite():
 def test_verify_suite_rejects_unknown():
     with pytest.raises(DomainError):
         verify_suite("app3")
-
-
-def test_verify_suite_jobs_deterministic():
-    serial = verify_suite("app5", points=64)
-    fanned = verify_suite("app5", points=64, jobs=2)
-    assert serial == fanned
 
 
 def test_uniform_grid_endpoints():

@@ -165,6 +165,9 @@ def test_domain_error_exit(capsys):
     code, _, err = invoke(capsys, "gamma", "--q", "0", "--p", "4")
     assert code == EXIT_DOMAIN
     assert "domain error" in err
+    code, out, err = invoke(capsys, "jointfactor", "--x", "inf", "--b", "0.5")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "finite" in err
 
 
 def test_convergence_error_exit(capsys):
@@ -205,11 +208,33 @@ def test_gamma_without_tail_is_raw_truncation(capsys):
     assert 1e-6 < payload["rel_err_vs_oracle"] < 1e-3
 
 
-def test_jobs_flag_accepted(capsys):
-    code, out, _ = invoke(capsys, "bounds", "--suite", "app5", "--points", "64", "--jobs", "2")
-    assert code == EXIT_OK
-    _, out_serial, _ = invoke(capsys, "bounds", "--suite", "app5", "--points", "64")
-    assert out == out_serial
+_VERB_ARGS = {
+    "gamma": ("--q", "1", "--p", "3"),
+    "jointfactor": ("--x", "0.25", "--b", "0.5"),
+    "coeffs": ("--x", "0.25", "--b", "0.5", "--n", "3"),
+    "digamma": ("--t", "0.5", "--n0", "100"),
+    "trigamma": ("--t", "0.5", "--n0", "100"),
+    "beta": ("--x", "0.5", "--y", "0.5"),
+    "identity": ("--name", "sin", "--x", "0.25"),
+    "bounds": ("--suite", "app5", "--points", "8"),
+    "convergence": ("--target", "quarter", "--m-list", "1,10"),
+}
+_UNREAD_FLAGS = [
+    ("coeffs", "--m", "5"), ("coeffs", "--tail"), ("coeffs", "--tol", "1e-6"),
+    ("digamma", "--m", "5"), ("digamma", "--tail"), ("digamma", "--tol", "1e-6"),
+    ("trigamma", "--m", "5"), ("trigamma", "--tail"), ("trigamma", "--tol", "1e-6"),
+    ("beta", "--tol", "1e-12"), ("identity", "--tol", "1e-6"),
+    ("bounds", "--tail"), ("bounds", "--tol", "1e-3"),
+    ("convergence", "--m", "5"), ("convergence", "--tol", "1e-6"),
+] + [(verb, "--jobs", "2") for verb in _VERB_ARGS]
+
+
+@pytest.mark.parametrize("verb, flag", [(v, f) for v, *f in _UNREAD_FLAGS], ids=[" ".join(f) for f in _UNREAD_FLAGS])
+def test_flags_a_verb_does_not_read_are_usage_errors(capsys, verb, flag):
+    code, _, err = invoke(capsys, verb, *_VERB_ARGS[verb])
+    assert code == EXIT_OK, err
+    code, out, err = invoke(capsys, verb, *_VERB_ARGS[verb], *flag)
+    assert code == EXIT_USAGE and out == "" and "unrecognized arguments" in err
 
 
 def test_every_value_verb_carries_the_common_keys(capsys):

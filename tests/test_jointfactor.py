@@ -198,6 +198,8 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         JointFactorSpec(0.0, 0.5)
     with pytest.raises(DomainError):
+        JointFactorSpec(math.inf, 0.5)
+    with pytest.raises(DomainError):
         JointFactorSpec(1.0, 1.0)
     with pytest.raises(DomainError):
         JointFactorSpec(1.0, -0.2)

@@ -9,7 +9,6 @@ from conftest import grid
 from gammaprod.errors import DomainError
 from gammaprod.polygamma import (
     digamma,
-    digamma_bracket_variant,
     digamma_series_raw,
     trigamma,
     zeta_tail,
@@ -65,13 +64,6 @@ def test_acceleration_dominates_raw_series():
         assert acc < raw
 
 
-def test_bracket_variant_is_not_an_estimator():
-    # the variant's limit differs from psi; document that it loses badly
-    for t in (0.25, 0.5, 0.75):
-        ref = ref_digamma(t)
-        assert abs(digamma_bracket_variant(t, 1000) - ref) > 100.0 * abs(digamma(t, 1000).value - ref)
-
-
 def test_trigamma_half():
     assert trigamma(0.5, 500).value == pytest.approx(math.pi**2 / 2.0, abs=1e-4)
 
@@ -117,6 +109,13 @@ def test_zeta_tail_brute_force_cross_check():
     # one million direct terms plus an Euler-Maclaurin remainder
     brute = math.fsum(n**-1.5 for n in range(101, 1_000_001)) + power_tail(1.5, 1_000_000)
     assert zeta_tail(0.5, 100) == pytest.approx(brute, abs=1e-10)
+    # 40-digit Hurwitz zeta at the exponent s = 1 + t as rounded in floats
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for n0 in (10, 20, 100, 1000):
+            for t in grid(0.01, 0.99, 50):
+                ref = mp.zeta(mp.mpf(1.0 + t), n0 + 1)
+                assert abs((zeta_tail(t, n0) - ref) / ref) <= 5e-15, (n0, t)
 
 
 def test_polygamma_result_fields():
