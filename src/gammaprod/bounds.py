@@ -360,7 +360,14 @@ _Plan = tuple[list[_Check], Callable[[list[tuple[str, float]]], list[str]]]
 def _or(value, default):
     return default if value is None else value
 
+def _fixed_order(suite: str, m: int | None) -> None:
+    """Suites whose claims name their own truncation order (or none) reject ``m``."""
+    if m is not None:
+        raise DomainError(f"suite {suite} asserts its claims at a fixed truncation order; m={m} cannot apply")
+
 def _suite_app1(lo, hi, points, m) -> _Plan:
+    _fixed_order("app1", m)
+
     def notes(labeled):
         dirs = {"lower" if v > 0.0 else "upper" for label, v in labeled if label == _APP1_POS}
         return [f"positive-argument bound direction verified: {sorted(dirs)} (upper-bound reading fails)"]
@@ -368,6 +375,7 @@ def _suite_app1(lo, hi, points, m) -> _Plan:
     return [_Check(_app1_margins, "p", range(int(_or(lo, 3)), int(_or(hi, 12)) + 1))], notes
 
 def _suite_app5(lo, hi, points, m) -> _Plan:
+    _fixed_order("app5", m)
     return [_Check(_app5_margins, "alpha", uniform_grid(_or(lo, 0.001), _or(hi, 0.999), points or 1000))], lambda _: []
 
 def _suite_app6(lo, hi, points, m) -> _Plan:
@@ -396,6 +404,7 @@ def _suite_app8(lo, hi, points, m) -> _Plan:
     return [_Check(_app8_margins, "alpha", alphas, {"m": _or(m, 1)})], notes
 
 def _suite_app9(lo, hi, points, m) -> _Plan:
+    _fixed_order("app9", m)
     n, i_lo, i_hi = points or 1000, _or(lo, 0.241), _or(hi, 0.5)
     i1, j1, p1 = f"K1 >= A on [{i_lo:g},{i_hi:g})", "L1 <= D on (0.5,0.526]", "L1 <= E on [1.562,100]"
     checks = [
@@ -421,6 +430,7 @@ def _suite_app9(lo, hi, points, m) -> _Plan:
     return checks, notes
 
 def _suite_app10(lo, hi, points, m) -> _Plan:
+    _fixed_order("app10", m)
     return [
         _Check(_app10_margins, "x", uniform_grid(_or(lo, 0.05), _or(hi, 50.0), points or 1000)),
         _Check(_app10_improvement_margins, "x", uniform_grid(1e-4, 0.5, 10000, include_hi=False)),
@@ -454,7 +464,9 @@ def verify_suite(
 
     ``lo``/``hi``/``points`` override the suite's primary grid (for app1 and
     app7 they are integer ranges); ``m`` overrides the truncation order used
-    by the bound being tested.  Claims are asserted exactly as stated; see
+    by the bound being tested in app6, app7 and app8, and is a
+    ``DomainError`` for the suites whose claims fix their order (app1, app5,
+    app9, app10).  Claims are asserted exactly as stated; see
     the module docstring for the sign convention.  ``grid`` describes the
     grids as run, check by check.
     """

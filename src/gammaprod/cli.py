@@ -94,7 +94,7 @@ def _policy(args: argparse.Namespace) -> TruncationPolicy:
 
 _POLICY_FLAGS = {
     "m": {"type": int, "default": 1000, "help": "product truncation order"},
-    "tail": {"action": "store_true", "help": "apply the analytic tail correction"},
+    "tail": {"action": "store_true", "help": "apply the exact tail correction"},
     "tol": {"type": float, "default": None, "help": "relative tolerance (switches to adaptive truncation)"},
 }
 

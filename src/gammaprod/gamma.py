@@ -183,9 +183,9 @@ def beta(x: float, y: float, policy: TruncationPolicy = TruncationPolicy()) -> f
     """B(x, y) = (1/y) prod_{k>=1} k (k-1+x+y) / [(k+y)(k-1+x)].
 
     Valid for x > 0, 0 < y < 1.  Factors have the standard shape
-    1 + c/[(k+u)(k+v)] with c = y (1-x), u = y, v = x-1, so the joint-factor
-    tail machinery applies unchanged; the tail correction is skipped only in
-    ``fixed`` mode.
+    1 + c/[(k+u)(k+v)] with c = y (1-x), u = y, v = x-1, and numerator
+    roots 0 and x+y-1, so the joint-factor head and exact tail apply
+    unchanged; the tail is skipped only in ``fixed`` mode.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
@@ -196,7 +196,7 @@ def beta(x: float, y: float, policy: TruncationPolicy = TruncationPolicy()) -> f
     m = policy.m
     log_b = -math.log(y) + log_partial_product(c, u, v, m)
     if policy.mode != "fixed":
-        log_b += log_product_tail(c, u, v, m)
+        log_b += log_product_tail(c, 0.0, x + y - 1.0, y, m)
     return math.exp(log_b)
 
 

@@ -2,12 +2,16 @@
 two competing products for [Gamma(1/4)]^2.
 
 All the trigonometric products have factors of the shape
-1 + c / [(k+u)(k+v)] and reuse the joint-factor tail machinery:
+1 + c / [(k+u)(k+v)] = (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)] and reuse the
+joint-factor head and exact tail:
 
 * sin(pi x)      = prod (2/(2k-1))^2 (k-x)(k-1+x)            c = -(x-1/2)^2, u = v = -1/2
+                                                              r = -x, x-1; d = x-1/2
 * tan(pi x)      = prod (2k-2+2x)(2k-2x) / [(2k-1)^2-(2x)^2]  c = x-1/4, u = -1/2-x, v = -1/2+x
+                                                              r = x-1, -x; d = 1/2-2x
 * 2^{2b-1}/sin(pi b) = prod (k-1/2)(k-1/2+b) / [(k-b)(k-1+2b)]
                                                               c = (1-2b)(1-4b)/4, u = -b, v = 2b-1
+                                                              r = -1/2, b-1/2; d = 1/2-b
 
 The quarter products are kept raw (no tail correction) because their point is
 the convergence comparison: the classical product starts closer and stays
@@ -37,12 +41,12 @@ class IdentityCheck:
     rel_residual: float
 
 
-def _product(c: float, u: float, v: float, m: int, tail: bool) -> float:
+def _product(c: float, u: float, v: float, roots: tuple[float, float, float], m: int, tail: bool) -> float:
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     log_p = log_partial_product(c, u, v, m)
     if tail:
-        log_p += log_product_tail(c, u, v, m)
+        log_p += log_product_tail(c, *roots, m)
     return math.exp(log_p)
 
 
@@ -51,7 +55,7 @@ def sin_product(x: float, m: int, tail: bool = True) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     c = -((x - 0.5) * (x - 0.5))
-    return _product(c, -0.5, -0.5, m, tail)
+    return _product(c, -0.5, -0.5, (-x, x - 1.0, x - 0.5), m, tail)
 
 
 def tan_product(x: float, m: int, tail: bool = True) -> float:
@@ -60,7 +64,7 @@ def tan_product(x: float, m: int, tail: bool = True) -> float:
     if not 0.0 < x < 0.5:
         raise DomainError(f"x must lie in (0, 1/2), got {x}")
     c = x - 0.25
-    return _product(c, -0.5 - x, -0.5 + x, m, tail)
+    return _product(c, -0.5 - x, -0.5 + x, (x - 1.0, -x, 0.5 - 2.0 * x), m, tail)
 
 
 def pow2_product(b: float, m: int, tail: bool = True) -> float:
@@ -72,7 +76,7 @@ def pow2_product(b: float, m: int, tail: bool = True) -> float:
     if not 0.0 < b < 1.0:
         raise DomainError(f"b must lie in (0, 1), got {b}")
     c = (1.0 - 2.0 * b) * (1.0 - 4.0 * b) / 4.0
-    return _product(c, -b, 2.0 * b - 1.0, m, tail)
+    return _product(c, -b, 2.0 * b - 1.0, (-0.5, b - 0.5, 0.5 - b), m, tail)
 
 
 def pow2_reference(b: float) -> float:

@@ -4,26 +4,25 @@ Two interchangeable estimators are exposed:
 
 * ``joint_factor`` evaluates the infinite product
   f(x, b) = prod_{k>=1} k (x+k-1) / [(k-b)(x+k+b-1)], truncated after m
-  factors and, depending on the policy, corrected for the omitted tail,
-  bracketed by rigorous bounds, or grown adaptively.
+  factors and, depending on the policy, completed by the exact tail,
+  bracketed by rigorous bounds, or given the order a tolerance needs.
 * ``joint_factor_series`` evaluates exp(-sum g_n(x, b)) from the recursion
   coefficients in :mod:`gammaprod.coeffs`.
 
 Every factor of the product has the shape 1 + c / [(k+u)(k+v)] with
 c = b (x+b-1), u = -b, v = x+b-1, so the truncation error is monotone:
 partial products decrease to f when 1 - x - b > 0, increase when it is
-negative, and are identically 1 on the line x + b = 1.  The tail of the log
-product is estimated analytically through
+negative, and are identically 1 on the line x + b = 1.  The same factors
+read (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)] with real roots r1 = 0, r2 = x-1
+and shift d = -b, so the log of the omitted tail is exactly
 
-    sum_{k>m} ln(1 + c/D_k)  ~=  c S1 - (c^2 / 2) S2,
+    sum_{k>m} ln(1 + c/D_k) = sum_i [ln Gamma(m+1+r_i+d_i) - ln Gamma(m+1+r_i)],
 
-where S1 = sum_{k>m} 1/D_k and S2 = sum_{k>m} 1/D_k^2 reduce to psi and
-psi' differences by partial fractions.  Both sums are evaluated in a form
-that stays accurate as u -> v (midpoint psi'/psi''' expansions), which turns
-the raw O(1/m) truncation error into O(c^3/m^4): about 1e-15 relative at
-m = 1000 on the working parameter box.  The same machinery serves the Beta
-product and the trigonometric product identities, which share the
-1 + c/[(k+u)(k+v)] factor shape.
+with d_1 = d, d_2 = -d.  Each difference is evaluated by the Stirling series
+(DLMF 5.11.1; Tricomi and Erdelyi, Pacific J. Math. 1 (1951) 133-142), so a
+head of about ten factors gives full double precision for every x > 0.  The
+Beta product and the trigonometric product identities share the factor
+shape and pass their own closed-form roots to the same tail.
 """
 
 from __future__ import annotations
@@ -37,8 +36,19 @@ from .reference import _psi3, ref_digamma, ref_trigamma
 
 _MODES = ("fixed", "tail_corrected", "bracket", "adaptive")
 
-# Taylor switch for the psi-difference quotient; below this the direct
-# difference loses ~half its digits to cancellation.
+# Default head length.  With the exact tail, m = 10 already meets the
+# Gamma(q/p) accuracy over the whole rational table (see README); longer
+# heads add rounding, not accuracy.
+_DEFAULT_M = 10
+
+# Stirling coefficients B_2j / (2j (2j-1)), j = 1..8, of
+# ln Gamma(z) ~ (z-1/2) ln z - z + ln(2 pi)/2 + sum_j B_2j / (2j (2j-1)) z^(1-2j).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+# |B_18| / (18 * 17): for real z > 0 the remainder of that series is
+# smaller than the first omitted term, |B_18| / (18 * 17) z^-17.
+_STIRLING_NEXT = 43867 / 244188
+
+# Taylor switch for the psi-difference quotient of tail_sum_inverse.
 _DELTA_SWITCH = 0.5
 
 
@@ -64,10 +74,17 @@ class JointFactorSpec:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How to truncate the product: mode, term count m, adaptive tolerance."""
+    """How to truncate the product: mode, head length m, adaptive tolerance.
+
+    ``fixed`` keeps the raw m-factor truncate, ``tail_corrected`` adds the
+    exact tail, ``bracket`` adds rigorous bounds too.  ``adaptive`` takes
+    the first head of max(m, 16), 4 max(m, 16), ... (capped at ``m_max``)
+    whose tail remainder bound is at most ``tol``: an absolute error in
+    ln f, which is a relative error in f.
+    """
 
     mode: str = "tail_corrected"
-    m: int = 1000
+    m: int = _DEFAULT_M
     tol: float = 1e-9
     m_max: int = 10_000_000
 
@@ -94,6 +111,11 @@ class Estimate:
     tail_corrected: bool = False
 
 
+# tail_sum_inverse, tail_sum_inverse_sq and _extend_log_partial belong to the
+# psi-based tail and the growing head that the exact tail replaced.  No
+# product calls them; they stay while perfbench/tracer.py reads its
+# jointfactor metrics through their names.
+
 def tail_sum_inverse(u: float, v: float, m: int) -> float:
     """S1 = sum_{k>m} 1 / [(k+u)(k+v)] for m+1+u > 0, m+1+v > 0.
 
@@ -119,14 +141,47 @@ def tail_sum_inverse_sq(u: float, v: float, m: int) -> float:
     return _psi3(c0) / 6.0
 
 
-def log_product_tail(c: float, u: float, v: float, m: int) -> float:
-    """Analytic estimate of sum_{k>m} ln(1 + c/[(k+u)(k+v)]).
+def _stirling_sum(z: float) -> float:
+    """sum_{j=1..8} B_2j / (2j (2j-1)) z^(1-2j), by Horner in 1/z^2."""
+    t = 1.0 / (z * z)
+    s = 0.0
+    for coef in reversed(_STIRLING):
+        s = s * t + coef
+    return s / z
 
-    Second order in c; the residual is O(c^3/m^4).
+
+def log_product_tail(c: float, r1: float, r2: float, d: float, m: int) -> float:
+    """Exact sum_{k>m} ln(1 + c/[(k+u)(k+v)]) for factors written as
+    (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)], that is u = r1+d and v = r2-d.
+
+    The sum is lnG(m+1+r1+d) - lnG(m+1+r1) + lnG(m+1+r2-d) - lnG(m+1+r2),
+    evaluated by the Stirling series; :func:`tail_remainder` bounds the
+    error.  The two d ln(z+d) terms are joined into one log of a ratio, so
+    nothing of size d ln m cancels, and the ratio's gap (r1+d) - (r2-d) is
+    formed without the m offset.  Needs every m+1+r_i and m+1+r_i +- d
+    positive; ``c`` is only tested for 0, where every factor is 1.
     """
     if c == 0.0:
         return 0.0
-    return c * tail_sum_inverse(u, v, m) - 0.5 * c * c * tail_sum_inverse_sq(u, v, m)
+    z1 = m + 1.0 + r1
+    z2 = m + 1.0 + r2
+    w1 = z1 + d
+    w2 = z2 - d
+    ratio = ((r1 + d) - (r2 - d)) / w2  # w1/w2 - 1
+    log_w = math.log1p(ratio) if abs(ratio) < 0.5 else math.log(w1 / w2)
+    return (
+        (z1 - 0.5) * math.log1p(d / z1)
+        + (z2 - 0.5) * math.log1p(-d / z2)
+        + d * log_w
+        + (_stirling_sum(w1) - _stirling_sum(z1))
+        + (_stirling_sum(w2) - _stirling_sum(z2))
+    )
+
+
+def tail_remainder(r1: float, r2: float, d: float, m: int) -> float:
+    """Bound on the error of :func:`log_product_tail`: the first omitted
+    Stirling term at each of its four ln Gamma arguments."""
+    return _STIRLING_NEXT * sum((m + 1.0 + a) ** -17 for a in (r1, r1 + d, r2, r2 - d))
 
 
 def log_partial_product(c: float, u: float, v: float, m: int) -> float:
@@ -158,6 +213,11 @@ def _cuv(spec: JointFactorSpec) -> tuple[float, float, float]:
     return spec.b * (spec.x + spec.b - 1.0), -spec.b, spec.x + spec.b - 1.0
 
 
+def _roots(spec: JointFactorSpec) -> tuple[float, float, float]:
+    """(r1, r2, d) of the factors k (k+x-1) / [(k-b)(k+x-1+b)]."""
+    return 0.0, spec.x - 1.0, -spec.b
+
+
 def truncate(spec: JointFactorSpec, m: int) -> float:
     """The m-truncate f_m: the product of the first m factors, via logs."""
     if m < 1:
@@ -166,17 +226,21 @@ def truncate(spec: JointFactorSpec, m: int) -> float:
     return math.exp(log_partial_product(c, u, v, m))
 
 
-def _bracket(c: float, u: float, v: float, m: int, log_fm: float) -> tuple[float, float]:
-    """Rigorous bounds on f from f_m and a cheap overestimate of the tail.
+def _bracket(c: float, u: float, v: float, x: float, m: int, log_fm: float) -> tuple[float, float]:
+    """Rigorous bounds on f from f_m and an overestimate of the tail.
 
-    Uses sum_{k>m} 1/D_k < sum_{j>=m} 1/j^2 = psi'(m) (valid since
-    D_k > (k-1)^2 on the domain) and, for negative c, the slack factor
-    D_{m+1}/(D_{m+1} - |c|) from ln(1+y) >= y/(1+y).
+    D_k = (k+u)(k+v) >= (k-1)(k-1+x) on the domain and 1/(t(t+x)) is convex,
+    so S1 = sum_{k>m} 1/D_k <= sum_{j>=m} 1/(j(j+x)) is at most the integral
+    over [m-1/2, inf), log1p(x/h)/x with h = m-1/2: about 1/m for small x,
+    ln(x)/x for large x.  The log tail lies between 0 and c S1; for negative
+    c the bound is widened by D_{m+1}/(D_{m+1} - |c|), from ln(1+y) >= y/(1+y).
     """
     if c == 0.0:
         f = math.exp(log_fm)
         return f, f
-    bound = abs(c) * ref_trigamma(float(m))
+    h = m - 0.5
+    t = x / h
+    bound = abs(c) * (math.log1p(t) / t if t > 0.0 else 1.0) / h
     if c > 0.0:
         return math.exp(log_fm), math.exp(log_fm + bound)
     d_next = (m + 1.0 + u) * (m + 1.0 + v)
@@ -185,12 +249,26 @@ def _bracket(c: float, u: float, v: float, m: int, log_fm: float) -> tuple[float
     return math.exp(log_fm - bound * d_next / (d_next - abs(c))), math.exp(log_fm)
 
 
+def _adaptive_order(spec: JointFactorSpec, policy: TruncationPolicy) -> int:
+    """The head length adaptive mode uses: see :class:`TruncationPolicy`."""
+    roots = _roots(spec)
+    if tail_remainder(*roots, policy.m_max) > policy.tol:
+        raise ConvergenceError(
+            f"adaptive joint factor for (x={spec.x}, b={spec.b}) "
+            f"needs more than m_max={policy.m_max} terms at tol={policy.tol}"
+        )
+    m = min(max(policy.m, 16), policy.m_max)
+    while tail_remainder(*roots, m) > policy.tol:
+        m = min(4 * m, policy.m_max)
+    return m
+
+
 def joint_factor(spec: JointFactorSpec, policy: TruncationPolicy = TruncationPolicy()) -> Estimate:
     """Estimate f(x, b) under the given truncation policy.
 
     b = 0 is the degenerate case f = 1 and returns immediately with
-    m_used = 0.  ``ConvergenceError`` is raised if adaptive growth passes
-    ``policy.m_max`` without meeting ``policy.tol``.
+    m_used = 0.  ``ConvergenceError`` is raised in adaptive mode when no
+    head up to ``policy.m_max`` meets ``policy.tol``.
     """
     if spec.b == 0.0:
         one = 1.0
@@ -198,36 +276,14 @@ def joint_factor(spec: JointFactorSpec, policy: TruncationPolicy = TruncationPol
             return Estimate(one, 0.0, 0, lower=one, upper=one, tail_corrected=False)
         return Estimate(one, 0.0, 0, tail_corrected=False)
     c, u, v = _cuv(spec)
-
-    if policy.mode == "adaptive":
-        m = min(max(policy.m, 16), policy.m_max)
-        total, comp = _extend_log_partial(c, u, v, 1, m, 0.0, 0.0)
-        while True:
-            tail = log_product_tail(c, u, v, m)
-            log_est = total + tail
-            tail_mag = abs(c) * tail_sum_inverse(u, v, m)
-            threshold = policy.tol * abs(log_est)
-            if tail_mag <= threshold or c == 0.0:
-                return Estimate(math.exp(log_est), log_est, m, tail_corrected=True)
-            # the raw tail decays like 1/m, so the order needed is predictable;
-            # fail fast when it provably exceeds the cap
-            if m >= policy.m_max or (threshold > 0.0 and m * tail_mag / threshold > 8.0 * policy.m_max):
-                raise ConvergenceError(
-                    f"adaptive joint factor for (x={spec.x}, b={spec.b}) "
-                    f"needs more than m_max={policy.m_max} terms at tol={policy.tol}"
-                )
-            new_m = min(m * 4, policy.m_max)
-            total, comp = _extend_log_partial(c, u, v, m + 1, new_m, total, comp)
-            m = new_m
-
-    m = policy.m
+    m = _adaptive_order(spec, policy) if policy.mode == "adaptive" else policy.m
     log_fm = log_partial_product(c, u, v, m)
     if policy.mode == "fixed":
         return Estimate(math.exp(log_fm), log_fm, m, tail_corrected=False)
-    log_est = log_fm + log_product_tail(c, u, v, m)
-    if policy.mode == "tail_corrected":
+    log_est = log_fm + log_product_tail(c, *_roots(spec), m)
+    if policy.mode != "bracket":
         return Estimate(math.exp(log_est), log_est, m, tail_corrected=True)
-    lower, upper = _bracket(c, u, v, m, log_fm)
+    lower, upper = _bracket(c, u, v, spec.x, m, log_fm)
     return Estimate(math.exp(log_est), log_est, m, lower=lower, upper=upper, tail_corrected=True)
 
 

@@ -396,6 +396,11 @@ def test_verify_suite_rejects_unknown():
         verify_suite("app3")
 
 
+@pytest.mark.parametrize("suite", ["app6", "app7", "app8"])
+def test_truncation_suites_honour_m(suite):
+    assert verify_suite(suite, m=3).grid != verify_suite(suite).grid
+
+
 def test_uniform_grid_endpoints():
     g = uniform_grid(0.0, 1.0, 5)
     assert g == [0.0, 0.25, 0.5, 0.75, 1.0]

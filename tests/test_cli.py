@@ -100,6 +100,27 @@ def test_beta_verb(capsys):
     assert payload["value"] == pytest.approx(math.pi, rel=1e-9)
 
 
+@pytest.mark.parametrize("x, b", [(1e6, 0.9), (1e300, 0.5), (1e300, 0.9)])
+def test_jointfactor_bracket_at_huge_x(capsys, x, b):
+    # the bracket's tail bound grows like ln(x)/x, so it neither overflows nor misses f
+    mp = pytest.importorskip("mpmath")
+    code, out, _ = invoke(capsys, "jointfactor", "--x", repr(x), "--b", repr(b), "--m", "1000", "--tail")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    with mp.workdps(360):  # ln Gamma(1e300) has 303 digits before the point
+        f = mp.exp(mp.loggamma(mp.mpf(x) + b) - mp.loggamma(x)) * mp.gamma(1 - mp.mpf(b))
+    assert payload["lower"] <= f <= payload["upper"]
+    # the value is exp(ln f): a few ulps of ln f (~346 and ~624 at 1e300) is its floor
+    assert abs(payload["value"] - f) <= 4e-16 * max(1.0, payload["log_value"]) * f
+
+
+def test_beta_at_huge_x(capsys):
+    # B(1e300, 1/2) = sqrt(pi) (1e300)^(-1/2) (1 + O(1e-300)): finite, not NaN
+    code, out, _ = invoke(capsys, "beta", "--x", "1e300", "--y", "0.5", "--tail")
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == pytest.approx(math.sqrt(math.pi) * 1e-150, rel=4e-16 * 346)
+
+
 def test_bounds_app5_exit_zero(capsys):
     code, out, _ = invoke(capsys, "bounds", "--suite", "app5", "--lo", "0.001", "--hi", "0.999", "--points", "1000")
     assert code == EXIT_OK
@@ -114,6 +135,13 @@ def test_bounds_app9_exit_three(capsys):
     payload = json.loads(out)
     assert payload["holds"] is False
     assert payload["violations"] > 0
+
+
+@pytest.mark.parametrize("suite", ["app1", "app5", "app9", "app10"])
+def test_bounds_m_on_fixed_order_suite_is_domain_error(capsys, suite):
+    code, out, err = invoke(capsys, "bounds", "--suite", suite, "--points", "20", "--m", "5")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "fixed truncation order" in err
 
 
 def test_bounds_csv_format(capsys):
@@ -171,8 +199,24 @@ def test_domain_error_exit(capsys):
 
 
 def test_convergence_error_exit(capsys):
-    code, _, err = invoke(capsys, "jointfactor", "--x", "0.25", "--b", "0.5", "--m", "16", "--tol", "1e-14")
+    # no head up to m_max = 10^7 brings the tail remainder (~m^-17) below 1e-200
+    code, _, err = invoke(capsys, "jointfactor", "--x", "0.25", "--b", "0.5", "--m", "16", "--tol", "1e-200")
     assert code == EXIT_CONVERGENCE
+    assert "convergence error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jointfactor", "--x", "0.25", "--b", "0.5", "--tol", "1e-8"),
+        ("jointfactor", "--x", "0.25", "--b", "0.5", "--m", "16", "--tol", "1e-14"),
+        ("gamma", "--q", "1", "--p", "4", "--tol", "1e-10"),
+    ],
+)
+def test_adaptive_tolerances_are_met(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["rel_err_vs_oracle"] < 1e-13
 
 
 def test_adaptive_tolerance_success(capsys):

@@ -112,8 +112,8 @@ def test_bracket_contains_oracle():
 
 
 def test_tail_accuracy_across_the_quotient_switch():
-    # the tail estimate swaps between a direct psi difference and a midpoint
-    # expansion at |x+2b-1| = 0.5; accuracy must not cliff at the seam
+    # accuracy must not cliff as the gap |x+2b-1| between the denominator
+    # offsets -b and x+b-1 passes 0.5
     policy = TruncationPolicy(mode="tail_corrected", m=400)
     for x in (0.3, 0.9, 1.4):
         for delta in (-0.501, -0.499, -0.25, 0.0, 0.25, 0.499, 0.501):
@@ -179,8 +179,14 @@ def test_adaptive_mode():
     est = joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=16, tol=1e-6))
     assert est.tail_corrected
     assert abs(est.value - oracle_f(0.25, 0.5)) <= 1e-8
+    # the stopping rule is the exact tail's remainder bound, so a tight tol
+    # needs only a short head
+    est = joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=16, tol=1e-12, m_max=32))
+    assert est.m_used == 16
+    assert abs(est.value - oracle_f(0.25, 0.5)) <= 1e-12 * oracle_f(0.25, 0.5)
+    # truly infeasible: a one-factor head leaves a Stirling remainder far above tol
     with pytest.raises(ConvergenceError):
-        joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=16, tol=1e-12, m_max=32))
+        joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=1, tol=1e-12, m_max=1))
 
 
 def test_policy_validation():
