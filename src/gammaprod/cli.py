@@ -65,6 +65,8 @@ def _render_json(obj: Any) -> str:
 
 def _render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     def cell(v: Any) -> str:
+        if v is None:
+            return ""
         if isinstance(v, str):
             if any(ch in v for ch in ',"\n'):
                 return '"' + v.replace('"', '""') + '"'
@@ -161,7 +163,24 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _estimate_payload(op: str, inputs: dict, est, oracle: float | None) -> dict:
+def _log_gamma_gap(x: float, h: float) -> float | None:
+    """The oracle's ln Gamma(x+h) - ln Gamma(x), or None where it cannot
+    resolve it: x+h rounds to x, or the two logs are so large that their
+    difference keeps fewer than ~8 correct digits."""
+    if x + h == x:
+        return None
+    big, small = ref_log_gamma(x + h), ref_log_gamma(x)
+    if sys.float_info.epsilon * (abs(big) + abs(small)) > 1e-8:
+        return None
+    return big - small
+
+
+def _rel_err(log_value: float, log_oracle: float | None) -> float | None:
+    """|value/oracle - 1| from the logs, so it neither overflows nor cancels."""
+    return None if log_oracle is None else abs(math.expm1(log_value - log_oracle))
+
+
+def _estimate_payload(op: str, inputs: dict, est, rel_err: float | None) -> dict:
     out: dict[str, Any] = {"op": op, **inputs}
     out["value"] = est.value
     out["log_value"] = est.log_value
@@ -170,8 +189,7 @@ def _estimate_payload(op: str, inputs: dict, est, oracle: float | None) -> dict:
     if est.lower is not None:
         out["lower"] = est.lower
         out["upper"] = est.upper
-    if oracle is not None:
-        out["rel_err_vs_oracle"] = abs(est.value - oracle) / abs(oracle)
+    out["rel_err_vs_oracle"] = rel_err
     return out
 
 
@@ -210,8 +228,10 @@ def _do_jointfactor(args) -> tuple[Any, int]:
         pol = TruncationPolicy(mode="bracket", m=pol.m)  # same estimate, plus bounds
     spec = JointFactorSpec(args.x, args.b)
     est = joint_factor(spec, pol)
-    oracle = math.exp(ref_log_gamma(args.x + args.b) + ref_log_gamma(1.0 - args.b) - ref_log_gamma(args.x)) if args.b > 0 else 1.0
-    return _estimate_payload("jointfactor", {"x": args.x, "b": args.b}, est, oracle), EXIT_OK
+    gap = _log_gamma_gap(args.x, args.b) if args.b > 0 else 0.0
+    log_oracle = None if gap is None else gap + ref_log_gamma(1.0 - args.b)
+    rel_err = _rel_err(est.log_value, log_oracle)
+    return _estimate_payload("jointfactor", {"x": args.x, "b": args.b}, est, rel_err), EXIT_OK
 
 
 def _do_coeffs(args) -> tuple[Any, int]:
@@ -255,7 +275,8 @@ def _do_polygamma(args) -> tuple[Any, int]:
 def _do_beta(args) -> tuple[Any, int]:
     pol = _policy(args)
     val = beta(args.x, args.y, pol)
-    oracle = math.exp(ref_log_gamma(args.x) + ref_log_gamma(args.y) - ref_log_gamma(args.x + args.y))
+    gap = _log_gamma_gap(args.x, args.y)
+    log_oracle = None if gap is None else ref_log_gamma(args.y) - gap
     payload = {
         "op": "beta",
         "x": args.x,
@@ -263,7 +284,7 @@ def _do_beta(args) -> tuple[Any, int]:
         "value": val,
         "m_used": pol.m,
         "tail_corrected": pol.mode != "fixed",
-        "rel_err_vs_oracle": abs(val - oracle) / oracle,
+        "rel_err_vs_oracle": _rel_err(math.log(val), log_oracle),
     }
     return payload, EXIT_OK
 
@@ -342,14 +363,15 @@ def _do_convergence(args) -> tuple[Any, int]:
         if args.x is None or args.b is None:
             raise _UsageError("convergence --target jointfactor needs --x and --b")
         spec = JointFactorSpec(args.x, args.b)
-        oracle = math.exp(ref_log_gamma(args.x + args.b) + ref_log_gamma(1.0 - args.b) - ref_log_gamma(args.x))
+        gap = _log_gamma_gap(args.x, args.b) if args.b > 0 else 0.0
+        oracle = None if gap is None else math.exp(gap + ref_log_gamma(1.0 - args.b))
         header = ["m", "estimate", "abs_err_vs_oracle", "tail_corrected"]
         for m in ms:
             if args.tail:
                 est = joint_factor(spec, TruncationPolicy(mode="tail_corrected", m=m)).value
             else:
                 est = truncate(spec, m)
-            rows.append([m, est, abs(est - oracle), bool(args.tail)])
+            rows.append([m, est, None if oracle is None else abs(est - oracle), bool(args.tail)])
     else:
         if args.t is None:
             raise _UsageError("convergence --target digamma needs --t")

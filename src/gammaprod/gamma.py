@@ -23,7 +23,8 @@ from .jointfactor import (
     JointFactorSpec,
     TruncationPolicy,
     joint_factor,
-    log_partial_product,
+    log_head,
+    log_partial_product,  # noqa: F401 -- not called here; perfbench/test_perfbench.py reads gamma.log_partial_product
     log_product_tail,
 )
 from .reference import ref_gamma, ref_log_gamma
@@ -192,11 +193,10 @@ def beta(x: float, y: float, policy: TruncationPolicy = TruncationPolicy()) -> f
     if not 0.0 < y < 1.0:
         raise DomainError(f"y must lie in (0, 1), got {y}")
     c = y * (1.0 - x)
-    u, v = y, x - 1.0
-    m = policy.m
-    log_b = -math.log(y) + log_partial_product(c, u, v, m)
+    roots = (0.0, x + y - 1.0, y)
+    log_b = -math.log(y) + log_head(c, y, x - 1.0, roots, policy.m)
     if policy.mode != "fixed":
-        log_b += log_product_tail(c, 0.0, x + y - 1.0, y, m)
+        log_b += log_product_tail(c, *roots, policy.m)
     return math.exp(log_b)
 
 
@@ -208,7 +208,7 @@ def beta_partial(x: float, y: float, m: int) -> float:
         raise DomainError(f"y must lie in (0, 1), got {y}")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    return math.exp(-math.log(y) + log_partial_product(y * (1.0 - x), y, x - 1.0, m))
+    return math.exp(-math.log(y) + log_head(y * (1.0 - x), y, x - 1.0, (0.0, x + y - 1.0, y), m))
 
 
 def clear_factor_cache() -> None:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .jointfactor import log_partial_product, log_product_tail
+from .jointfactor import log_head, log_product_tail
 from .reference import ref_gamma
 
 
@@ -44,7 +44,7 @@ class IdentityCheck:
 def _product(c: float, u: float, v: float, roots: tuple[float, float, float], m: int, tail: bool) -> float:
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    log_p = log_partial_product(c, u, v, m)
+    log_p = log_head(c, u, v, roots, m)
     if tail:
         log_p += log_product_tail(c, *roots, m)
     return math.exp(log_p)

@@ -20,9 +20,15 @@ and shift d = -b, so the log of the omitted tail is exactly
 
 with d_1 = d, d_2 = -d.  Each difference is evaluated by the Stirling series
 (DLMF 5.11.1; Tricomi and Erdelyi, Pacific J. Math. 1 (1951) 133-142), so a
-head of about ten factors gives full double precision for every x > 0.  The
-Beta product and the trigonometric product identities share the factor
-shape and pass their own closed-form roots to the same tail.
+head of about ten factors gives full double precision for every x > 0.
+
+The same tails give any head in closed form: :func:`log_head` sums at most
+ten factors and takes factors 11..m as the difference of the tails after 10
+and after m, so an m-factor truncate costs the same for m = 10 and m = 10^9
+and still equals f_m.  The joint factor's first factor x / [(1-b)(x+b)] is
+taken by its own log, which stays exact as x -> 0.  The Beta product and the
+trigonometric product identities share the factor shape and pass their own
+closed-form roots to the same head and tail.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from .reference import _psi3, ref_digamma, ref_trigamma
 
 _MODES = ("fixed", "tail_corrected", "bracket", "adaptive")
 
-# Default head length.  With the exact tail, m = 10 already meets the
-# Gamma(q/p) accuracy over the whole rational table (see README); longer
-# heads add rounding, not accuracy.
+# Default head length, and the most factors log_head sums.  With the exact
+# tail, m = 10 already meets the Gamma(q/p) accuracy over the whole rational
+# table (see README); longer heads add rounding, not accuracy.
 _DEFAULT_M = 10
 
 # Stirling coefficients B_2j / (2j (2j-1)), j = 1..8, of
@@ -76,8 +82,9 @@ class JointFactorSpec:
 class TruncationPolicy:
     """How to truncate the product: mode, head length m, adaptive tolerance.
 
-    ``fixed`` keeps the raw m-factor truncate, ``tail_corrected`` adds the
-    exact tail, ``bracket`` adds rigorous bounds too.  ``adaptive`` takes
+    ``fixed`` keeps the raw m-factor truncate f_m, ``tail_corrected`` adds
+    the exact tail, ``bracket`` adds rigorous bounds too.  Every mode costs
+    O(min(m, 10)) whatever m: see :func:`log_head`.  ``adaptive`` takes
     the first head of max(m, 16), 4 max(m, 16), ... (capped at ``m_max``)
     whose tail remainder bound is at most ``tol``: an absolute error in
     ln f, which is a relative error in f.
@@ -199,6 +206,21 @@ def log_partial_product(c: float, u: float, v: float, m: int) -> float:
     return total
 
 
+def log_head(c: float, u: float, v: float, roots: tuple[float, float, float], m: int) -> float:
+    """ln of the first m factors 1 + c/[(k+u)(k+v)], whose roots form is
+    ``roots`` = (r1, r2, d), at a cost independent of m.
+
+    The first min(m, 10) factors are summed; the rest, factors 11..m, are
+    the difference of two exact tails, log_product_tail(10) - log_product_tail(m),
+    whose Stirling remainders are below 1e-17.
+    """
+    n = min(m, _DEFAULT_M)
+    total = log_partial_product(c, u, v, n)
+    if m > n:
+        total += log_product_tail(c, *roots, n) - log_product_tail(c, *roots, m)
+    return total
+
+
 def _extend_log_partial(c: float, u: float, v: float, start: int, stop: int, total: float, comp: float):
     for k in range(start, stop + 1):
         term = math.log1p(c / ((k + u) * (k + v)))
@@ -209,56 +231,77 @@ def _extend_log_partial(c: float, u: float, v: float, start: int, stop: int, tot
     return total, comp
 
 
-def _cuv(spec: JointFactorSpec) -> tuple[float, float, float]:
-    return spec.b * (spec.x + spec.b - 1.0), -spec.b, spec.x + spec.b - 1.0
+# The joint factor's product is taken as its k = 1 factor x / [(1-b)(x+b)]
+# times the shifted product over j = k-1 >= 1 of (j+1)(j+x) / [(j+1-b)(j+x+b)]:
+# c = b (x+b-1), u = 1-b, v = x+b, roots 1 and x, shift d = -b.  At tiny x
+# the unshifted c/D_1 rounds to -1, and x-1 loses x; the shifted form never
+# builds x as (x-1)+1.
+
+def _shifted(spec: JointFactorSpec) -> tuple[float, float, float, tuple[float, float, float]]:
+    """c, u, v and the roots (r1, r2, d) of the shifted factors."""
+    x, b = spec.x, spec.b
+    return b * (x + b - 1.0), 1.0 - b, x + b, (1.0, x, -b)
 
 
-def _roots(spec: JointFactorSpec) -> tuple[float, float, float]:
-    """(r1, r2, d) of the factors k (k+x-1) / [(k-b)(k+x-1+b)]."""
-    return 0.0, spec.x - 1.0, -spec.b
+def _log_truncate(spec: JointFactorSpec, m: int) -> float:
+    """ln f_m: the k = 1 factor's log in closed form plus m-1 shifted factors."""
+    c, u, v, roots = _shifted(spec)
+    if c == 0.0:  # x + b = 1: every factor is 1
+        return 0.0
+    first = math.log(spec.x / v) - math.log1p(-spec.b)
+    return first + log_head(c, u, v, roots, m - 1) if m > 1 else first
+
+
+def _exp(log_value: float) -> float:
+    """exp, with a result beyond the double range as a DomainError."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"the joint factor exp({log_value:.17g}) overflows the double range") from None
 
 
 def truncate(spec: JointFactorSpec, m: int) -> float:
     """The m-truncate f_m: the product of the first m factors, via logs."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    c, u, v = _cuv(spec)
-    return math.exp(log_partial_product(c, u, v, m))
+    return _exp(_log_truncate(spec, m))
 
 
-def _bracket(c: float, u: float, v: float, x: float, m: int, log_fm: float) -> tuple[float, float]:
+def _bracket(spec: JointFactorSpec, c: float, m: int, log_fm: float) -> tuple[float, float]:
     """Rigorous bounds on f from f_m and an overestimate of the tail.
 
-    D_k = (k+u)(k+v) >= (k-1)(k-1+x) on the domain and 1/(t(t+x)) is convex,
-    so S1 = sum_{k>m} 1/D_k <= sum_{j>=m} 1/(j(j+x)) is at most the integral
-    over [m-1/2, inf), log1p(x/h)/x with h = m-1/2: about 1/m for small x,
-    ln(x)/x for large x.  The log tail lies between 0 and c S1; for negative
-    c the bound is widened by D_{m+1}/(D_{m+1} - |c|), from ln(1+y) >= y/(1+y).
+    D_k = (k-b)(k+x+b-1) >= (k-1)(k-1+x) on the domain and 1/(t(t+x)) is
+    convex, so S1 = sum_{k>m} 1/D_k <= sum_{j>=m} 1/(j(j+x)) is at most the
+    integral over [m-1/2, inf), log1p(x/h)/x with h = m-1/2: about 1/m for
+    small x, ln(x)/x for large x.  The log tail lies between 0 and c S1; for
+    negative c the bound is widened by D_{m+1}/(D_{m+1} - |c|), from
+    ln(1+y) >= y/(1+y).
     """
     if c == 0.0:
-        f = math.exp(log_fm)
+        f = _exp(log_fm)
         return f, f
     h = m - 0.5
-    t = x / h
+    t = spec.x / h
     bound = abs(c) * (math.log1p(t) / t if t > 0.0 else 1.0) / h
     if c > 0.0:
-        return math.exp(log_fm), math.exp(log_fm + bound)
-    d_next = (m + 1.0 + u) * (m + 1.0 + v)
+        return _exp(log_fm), _exp(log_fm + bound)
+    d_next = (m + 1.0 - spec.b) * (m + spec.x + spec.b)
     if d_next <= abs(c):
         raise DomainError("bracket mode needs m large enough that |c| < D_{m+1}")
-    return math.exp(log_fm - bound * d_next / (d_next - abs(c))), math.exp(log_fm)
+    return _exp(log_fm - bound * d_next / (d_next - abs(c))), _exp(log_fm)
 
 
 def _adaptive_order(spec: JointFactorSpec, policy: TruncationPolicy) -> int:
-    """The head length adaptive mode uses: see :class:`TruncationPolicy`."""
-    roots = _roots(spec)
-    if tail_remainder(*roots, policy.m_max) > policy.tol:
+    """The head length adaptive mode uses: see :class:`TruncationPolicy`.
+    The tail after m factors is the shifted product's tail after m-1."""
+    roots = _shifted(spec)[3]
+    if tail_remainder(*roots, policy.m_max - 1) > policy.tol:
         raise ConvergenceError(
             f"adaptive joint factor for (x={spec.x}, b={spec.b}) "
             f"needs more than m_max={policy.m_max} terms at tol={policy.tol}"
         )
     m = min(max(policy.m, 16), policy.m_max)
-    while tail_remainder(*roots, m) > policy.tol:
+    while tail_remainder(*roots, m - 1) > policy.tol:
         m = min(4 * m, policy.m_max)
     return m
 
@@ -268,23 +311,25 @@ def joint_factor(spec: JointFactorSpec, policy: TruncationPolicy = TruncationPol
 
     b = 0 is the degenerate case f = 1 and returns immediately with
     m_used = 0.  ``ConvergenceError`` is raised in adaptive mode when no
-    head up to ``policy.m_max`` meets ``policy.tol``.
+    head up to ``policy.m_max`` meets ``policy.tol``, ``DomainError`` when
+    f (or its bracket) lies beyond the double range.
     """
     if spec.b == 0.0:
         one = 1.0
         if policy.mode == "bracket":
             return Estimate(one, 0.0, 0, lower=one, upper=one, tail_corrected=False)
         return Estimate(one, 0.0, 0, tail_corrected=False)
-    c, u, v = _cuv(spec)
     m = _adaptive_order(spec, policy) if policy.mode == "adaptive" else policy.m
-    log_fm = log_partial_product(c, u, v, m)
+    log_fm = _log_truncate(spec, m)
     if policy.mode == "fixed":
-        return Estimate(math.exp(log_fm), log_fm, m, tail_corrected=False)
-    log_est = log_fm + log_product_tail(c, *_roots(spec), m)
+        return Estimate(_exp(log_fm), log_fm, m, tail_corrected=False)
+    c, _, _, roots = _shifted(spec)
+    log_est = log_fm + log_product_tail(c, *roots, m - 1)
+    value = _exp(log_est)
     if policy.mode != "bracket":
-        return Estimate(math.exp(log_est), log_est, m, tail_corrected=True)
-    lower, upper = _bracket(c, u, v, spec.x, m, log_fm)
-    return Estimate(math.exp(log_est), log_est, m, lower=lower, upper=upper, tail_corrected=True)
+        return Estimate(value, log_est, m, tail_corrected=True)
+    lower, upper = _bracket(spec, c, m, log_fm)
+    return Estimate(value, log_est, m, lower=lower, upper=upper, tail_corrected=True)
 
 
 def joint_factor_series(spec: JointFactorSpec, N: int) -> float:

@@ -6,8 +6,12 @@ through a Lanczos rational approximation with hard-coded coefficients, the psi
 functions through upward recurrence plus a Bernoulli asymptotic series, and
 zeta through direct summation plus Euler-Maclaurin corrections.
 
-Accuracy on the positive real axis (measured against 40-digit arithmetic):
-ln Gamma to ~4e-15 absolute, psi to ~4e-15, psi' to ~6e-14, zeta to ~2e-14.
+Accuracy on [0.01, 100], measured against 40-digit mpmath: ln Gamma, psi and
+psi' are within 2e-15 max(1, |value|), i.e. relative where |value| >= 1 and
+absolute near the zeros of ln Gamma and psi.  Absolute errors grow with the
+value: ~1e-13 for ln Gamma near x = 100, ~5e-14 for psi and ~4e-12 for psi'
+near x = 0.01.  ln Gamma keeps ~1e-16 relative down to x = 1e-300; zeta is
+good to ~2e-14.
 """
 
 from __future__ import annotations
@@ -79,15 +83,25 @@ class OracleConfig:
 
 
 def ref_log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 via the Lanczos rational approximation."""
+    """ln Gamma(x) for x > 0 via the Lanczos rational approximation.
+
+    Below 1/2, x - 1 would round away the low bits of x (all of them below
+    ~1e-16), so there ln Gamma(x) = ln Gamma(1+x) - ln x with 1+x's offset
+    taken as x itself.
+    """
     if x <= 0.0 or math.isnan(x):
         raise DomainError(f"ref_log_gamma requires x > 0, got {x}")
-    w = x - 1.0
+    if x < 0.5:
+        w = x
+        log_shift = math.log(x)
+    else:
+        w = x - 1.0
+        log_shift = 0.0
     base = w + _LANCZOS_G + 0.5
     s = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[i] / (w + i)
-    return _LN_SQRT_2PI + (w + 0.5) * math.log(base) - base + math.log(s)
+    return _LN_SQRT_2PI + (w + 0.5) * math.log(base) - base + math.log(s) - log_shift
 
 
 def ref_gamma(x: float) -> float:

@@ -121,6 +121,82 @@ def test_beta_at_huge_x(capsys):
     assert json.loads(out)["value"] == pytest.approx(math.sqrt(math.pi) * 1e-150, rel=4e-16 * 346)
 
 
+def _f_exact(mp, x, b):
+    with mp.workdps(360):  # ln Gamma(1e300) has 303 digits before the point
+        return mp.exp(mp.loggamma(mp.mpf(x) + b) - mp.loggamma(x)) * mp.gamma(1 - mp.mpf(b))
+
+
+@pytest.mark.parametrize("x, b", [(1e-20, 0.5), (1e-300, 0.5), (1.5e-208, 0.032)])
+@pytest.mark.parametrize("m", ["1", "1000"])
+def test_jointfactor_at_tiny_x(capsys, x, b, m):
+    # the k = 1 factor's c/D_1 rounds to -1 below x ~ 1e-16; its log is now direct
+    mp = pytest.importorskip("mpmath")
+    f = _f_exact(mp, x, b)
+    code, out, _ = invoke(capsys, "jointfactor", "--x", repr(x), "--b", repr(b), "--m", m, "--tail")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["lower"] <= f <= payload["upper"]
+    if m == "1000":
+        assert abs(payload["value"] - f) <= 1e-13 * f
+        assert payload["rel_err_vs_oracle"] <= 1e-13
+    # raw truncates (fixed mode and the convergence study) take the same head
+    code, out, _ = invoke(capsys, "jointfactor", "--x", repr(x), "--b", repr(b), "--m", m)
+    assert code == EXIT_OK and json.loads(out)["value"] > 0.0
+    code, _, _ = invoke(capsys, "convergence", "--target", "jointfactor", "--x", repr(x), "--b", repr(b), "--m-list", "1,10,1000")
+    assert code == EXIT_OK
+
+
+def test_jointfactor_overflow_is_domain_error(capsys):
+    # f(1e300, 1 - 2^-53) ~ 1e316 lies beyond the double range
+    code, out, err = invoke(capsys, "jointfactor", "--x", "1e300", "--b", "0.9999999999999999", "--tail")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jointfactor", "--x", "0.25", "--b", "0.5", "--tail"),
+        ("jointfactor", "--x", "1e6", "--b", "0.5", "--tail"),
+        ("jointfactor", "--x", "1e-20", "--b", "0.5", "--tail"),
+        ("beta", "--x", "0.5", "--y", "0.5", "--tail"),
+        ("beta", "--x", "1e6", "--y", "0.5", "--tail"),
+    ],
+)
+def test_rel_err_vs_oracle_where_the_oracle_resolves(capsys, argv):
+    # the oracle's ln Gamma difference at x = 1e6 keeps ~8 digits, so the
+    # field reads the oracle's error, not the product's (~1e-15)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["rel_err_vs_oracle"] <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jointfactor", "--x", "1e300", "--b", "0.5", "--tail"),
+        ("jointfactor", "--x", "1e7", "--b", "0.5", "--tail"),
+        ("jointfactor", "--x", "1e20", "--b", "1e-5", "--tail"),  # x + b == x
+        ("beta", "--x", "1e300", "--y", "0.5", "--tail"),
+    ],
+)
+def test_rel_err_vs_oracle_is_null_where_the_oracle_cancels(capsys, argv):
+    # ln Gamma(x+b) - ln Gamma(x) loses every digit at x = 1e300 (the field
+    # read 1.77e150 for jointfactor and 1 for beta) and all but ~7 at x = 1e7
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_OK
+    assert '"rel_err_vs_oracle":null' in out
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert out.splitlines()[1].endswith(",")
+
+
+def test_convergence_error_is_null_where_the_oracle_cancels(capsys):
+    # at x = 1e300 the field read the estimate itself (~1.77e150)
+    code, out, _ = invoke(capsys, "convergence", "--target", "jointfactor", "--x", "1e300", "--b", "0.5", "--m-list", "1,1000", "--tail")
+    assert code == EXIT_OK
+    assert [row["abs_err_vs_oracle"] for row in json.loads(out)["rows"]] == [None, None]
+
+
 def test_bounds_app5_exit_zero(capsys):
     code, out, _ = invoke(capsys, "bounds", "--suite", "app5", "--lo", "0.001", "--hi", "0.999", "--points", "1000")
     assert code == EXIT_OK

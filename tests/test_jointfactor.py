@@ -2,6 +2,7 @@
 series route, and the adaptive policy."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from gammaprod.jointfactor import (
     TruncationPolicy,
     joint_factor,
     joint_factor_series,
+    log_head,
+    log_partial_product,
     truncate,
 )
+from gammaprod import gamma, identities, jointfactor
 from gammaprod.reference import ref_log_gamma
 
 
@@ -213,3 +217,71 @@ def test_spec_validation():
         truncate(JointFactorSpec(1.0, 0.5), 0)
     with pytest.raises(DomainError):
         joint_factor_series(JointFactorSpec(1.0, 0.5), 0)
+
+
+@pytest.mark.parametrize("m", [1, 9, 10, 11, 57, 1000, 123456])
+@pytest.mark.parametrize(
+    "c, u, v, roots",
+    [
+        (0.2 * (0.3 + 0.2 - 1.0), 0.8, 0.5, (1.0, 0.3, -0.2)),  # joint factor, shifted
+        (0.6 * (1.0 - 2.5), 0.6, 1.5, (0.0, 2.1, 0.6)),  # Beta(2.5, 0.6)
+        (-(0.3 - 0.5) ** 2, -0.5, -0.5, (-0.3, -0.7, -0.2)),  # sin(0.3 pi)
+    ],
+    ids=["joint", "beta", "sin"],
+)
+def test_log_head_is_the_summed_head(c, u, v, roots, m):
+    # ten factors summed, the rest as a difference of exact tails: the same
+    # number as summing every factor, up to the long sum's own rounding
+    assert log_head(c, u, v, roots, m) == pytest.approx(log_partial_product(c, u, v, m), rel=1e-14, abs=1e-16)
+
+
+def test_no_head_sums_more_than_ten_factors(monkeypatch):
+    longest = []
+
+    def recording(c, u, v, m):
+        longest.append(m)
+        return log_partial_product(c, u, v, m)
+
+    monkeypatch.setattr(jointfactor, "log_partial_product", recording)
+    gamma.clear_factor_cache()
+    spec = JointFactorSpec(0.3, 0.2)
+    for mode in ("fixed", "tail_corrected", "bracket", "adaptive"):
+        joint_factor(spec, TruncationPolicy(mode=mode, m=10**6, tol=1e-9, m_max=10**7))
+    truncate(spec, 10**9)
+    gamma.beta(2.5, 0.6, TruncationPolicy(mode="fixed", m=10**6))
+    gamma.beta_partial(2.5, 0.6, 10**6)
+    gamma.gamma_rational(gamma.RationalArgument(5, 12), TruncationPolicy(m=1000))
+    for product in (identities.sin_product, identities.tan_product, identities.pow2_product):
+        product(0.3, 10**6)
+    gamma.clear_factor_cache()
+    assert longest and max(longest) <= 10
+
+
+def test_truncate_cost_does_not_grow_with_m():
+    spec = JointFactorSpec(0.3, 0.2)
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        truncate(spec, 10**9)
+        best = min(best, time.perf_counter() - start)
+    assert best < 1e-3
+
+
+@pytest.mark.parametrize("x", [1e-20, 1e-300, 1.5e-208])
+@pytest.mark.parametrize("m", [1, 2, 1000])
+def test_tiny_x_first_factor(x, m):
+    # f_1 = x / [(1-b)(x+b)]: its log is taken directly, never as log1p(c/D_1)
+    # with c/D_1 rounded to -1
+    b = 0.032
+    assert truncate(JointFactorSpec(x, b), 1) == pytest.approx(x / ((1.0 - b) * (x + b)), rel=1e-15)
+    est = joint_factor(JointFactorSpec(x, b), TruncationPolicy(mode="bracket", m=m))
+    assert est.lower <= est.upper
+    assert est.lower > 0.0 and math.isfinite(est.log_value)
+
+
+def test_overflow_is_a_domain_error():
+    spec = JointFactorSpec(1e300, 0.9999999999999999)  # f ~ 1e316
+    with pytest.raises(DomainError, match="overflow"):
+        joint_factor(spec, TruncationPolicy(m=1000))
+    with pytest.raises(DomainError, match="overflow"):
+        joint_factor(spec, TruncationPolicy(mode="bracket", m=1000))

@@ -2,7 +2,7 @@
 
 mpmath shares no code with the product path or with gammaprod.reference,
 so agreement here is evidence, not a restatement.  Samples are seeded and
-the whole file runs in about a second.
+the whole file runs in about five seconds.
 """
 
 import math
@@ -13,13 +13,16 @@ import pytest
 from conftest import reduced_pairs
 from gammaprod.gamma import RationalArgument, beta, gamma_negative, gamma_rational
 from gammaprod.identities import pow2_product, sin_product, tan_product
-from gammaprod.jointfactor import JointFactorSpec, TruncationPolicy, joint_factor
+from gammaprod.jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, truncate
+from gammaprod.polygamma import digamma, trigamma
+from gammaprod.reference import ref_digamma, ref_log_gamma, ref_trigamma
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
 
 DEFAULT = TruncationPolicy()
 M1000 = TruncationPolicy(m=1000)
+FIXED1000 = TruncationPolicy(mode="fixed", m=1000)
 # the worst point of the seed-7 benchmark sequence under the psi tail (3.22e-15)
 BOX_CORNER = (2.788787782760156, 0.942385595376211)
 
@@ -31,6 +34,13 @@ def rel_err(value: float, exact) -> float:
 def f_exact(x: float, b: float):
     x, b = mp.mpf(x), mp.mpf(b)
     return mp.gamma(x + b) * mp.gamma(1 - b) / mp.gamma(x)
+
+
+def log_fm_exact(x: float, b: float, m: int):
+    """ln f_m = ln prod_{k<=m} k (x+k-1) / [(k-b)(x+k+b-1)] in closed form."""
+    x, b = mp.mpf(x), mp.mpf(b)
+    lg = mp.loggamma
+    return lg(m + 1) + lg(m + x) + lg(1 - b) + lg(x + b) - lg(x) - lg(m + 1 - b) - lg(m + x + b)
 
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -48,8 +58,9 @@ def test_gamma_rational_every_fraction_up_to_64():
             worst_small = max(worst_small, err)
         else:
             worst_large = max(worst_large, err)
-    assert worst_small <= 4e-15
-    assert worst_large <= 5e-13
+    # measured: 2.34e-15 (p <= 12) and 5.06e-14 (p > 12)
+    assert worst_small <= 2.5e-15
+    assert worst_large <= 6e-14
 
 
 def test_gamma_negative_every_fraction_up_to_64():
@@ -57,15 +68,59 @@ def test_gamma_negative_every_fraction_up_to_64():
         rel_err(gamma_negative(RationalArgument(q, p), DEFAULT), mp.gamma(-mp.mpf(q) / p))
         for q, p in reduced_pairs(64)
     )
-    assert worst <= 5e-13
+    assert worst <= 6e-14  # measured 4.67e-14
+
+
+def box_points(n: int = 2000):
+    rng = random.Random(20070)
+    return [(rng.uniform(0.1, 2.9), rng.uniform(0.05, 0.95)) for _ in range(n)] + [BOX_CORNER]
+
+
+def off_box_points(lo: float, hi: float, n: int = 2000):
+    rng = random.Random(20074)
+    points = []
+    while len(points) < n:
+        x, b = log_uniform(rng, lo, hi), rng.uniform(1e-6, 1.0 - 1e-6)
+        if not (0.1 <= x <= 2.9 and 0.05 <= b <= 0.95):
+            points.append((x, b))
+    return points
 
 
 @pytest.mark.parametrize("policy", [DEFAULT, M1000], ids=["default_m", "m1000"])
 def test_joint_factor_on_readme_box(policy):
-    rng = random.Random(20070)
-    points = [(rng.uniform(0.1, 2.9), rng.uniform(0.05, 0.95)) for _ in range(200)] + [BOX_CORNER]
-    worst = max(rel_err(joint_factor(JointFactorSpec(x, b), policy).value, f_exact(x, b)) for x, b in points)
+    worst = max(rel_err(joint_factor(JointFactorSpec(x, b), policy).value, f_exact(x, b)) for x, b in box_points())
     assert worst <= 3e-15
+
+
+def test_fixed_truncate_at_m1000_on_readme_box():
+    # f_m itself, ten factors summed and the other 990 as a difference of exact tails
+    worst = max(
+        rel_err(joint_factor(JointFactorSpec(x, b), FIXED1000).value, mp.exp(log_fm_exact(x, b, 1000)))
+        for x, b in box_points()
+    )
+    assert worst <= 3e-15
+
+
+@pytest.mark.parametrize("policy", [M1000, FIXED1000], ids=["tail_corrected", "fixed"])
+def test_joint_factor_off_the_box(policy):
+    worst = 0.0
+    for x, b in off_box_points(0.01, 2.9):
+        exact = mp.exp(log_fm_exact(x, b, 1000) if policy.mode == "fixed" else mp.log(f_exact(x, b)))
+        worst = max(worst, rel_err(joint_factor(JointFactorSpec(x, b), policy).value, exact))
+    assert worst <= 5e-14
+
+
+def test_joint_factor_at_tiny_x():
+    # value = exp(ln f): below x ~ 0.01 the rounding of ln f (|ln f| ~ |ln x|)
+    # is the error floor, ~3.2e-16 |ln f| measured down to x = 1e-300
+    for x, b in off_box_points(1e-300, 0.01, 500):
+        log_f = mp.log(f_exact(x, b))
+        est = joint_factor(JointFactorSpec(x, b), M1000)
+        assert abs(est.log_value - log_f) <= 5e-16 * max(4.0, abs(log_f))
+
+
+def test_truncate_at_a_billion_factors():
+    assert rel_err(truncate(JointFactorSpec(0.3, 0.2), 10**9), mp.exp(log_fm_exact(0.3, 0.2, 10**9))) <= 1e-14
 
 
 def test_joint_factor_over_log_uniform_x():
@@ -102,3 +157,41 @@ def test_trig_products_at_m1000(product, closed, hi):
         x = rng.uniform(0.01, hi)
         worst = max(worst, rel_err(product(x, 1000), closed(mp.mpf(x))))
     assert worst <= 5e-14
+
+
+@pytest.mark.parametrize("fn, exact, bound", [(digamma, mp.digamma, 2e-9), (trigamma, lambda t: mp.psi(1, t), 2e-8)])
+def test_polygamma_at_n0_1000(fn, exact, bound):
+    # README: psi and psi' at n0 = 1000 to 2e-9 and 2e-8 absolute (measured 1.56e-9, 1.27e-8)
+    rng = random.Random(20075)
+    ts = [rng.uniform(0.01, 0.99) for _ in range(200)] + [0.01, 0.5, 0.99]
+    assert max(abs(float(fn(t, 1000).value - exact(mp.mpf(t)))) for t in ts) <= bound
+
+
+@pytest.mark.parametrize(
+    "fn, exact, worst_abs",
+    [
+        (ref_log_gamma, mp.loggamma, 1.5e-13),  # largest near x = 100, where ln Gamma ~ 360
+        (ref_digamma, mp.digamma, 1e-13),  # largest near x = 0.01, where psi ~ -100
+        (ref_trigamma, lambda x: mp.psi(1, x), 1e-11),  # largest near x = 0.01, where psi' ~ 1e4
+    ],
+    ids=["ln_gamma", "psi", "psi1"],
+)
+def test_reference_oracles(fn, exact, worst_abs):
+    # relative where |value| >= 1, absolute below (ln Gamma and psi have zeros)
+    rng = random.Random(20076)
+    xs = [log_uniform(rng, 0.01, 100.0) for _ in range(1000)] + [0.01, 0.5, 1.0, 2.0, 100.0]
+    worst_scaled = worst = 0.0
+    for x in xs:
+        e = exact(mp.mpf(x))
+        err = float(abs(fn(x) - e))
+        worst = max(worst, err)
+        worst_scaled = max(worst_scaled, err / max(1.0, float(abs(e))))
+    assert worst_scaled <= 2e-15
+    assert worst <= worst_abs
+
+
+def test_reference_log_gamma_at_tiny_x():
+    # below 1/2 the oracle takes ln Gamma(1+x) - ln x; x - 1 used to round x away
+    rng = random.Random(20077)
+    for x in [log_uniform(rng, 1e-300, 0.5) for _ in range(300)] + [1e-300, 1e-20, 0.49]:
+        assert rel_err(ref_log_gamma(x), mp.loggamma(mp.mpf(x))) <= 1e-15
