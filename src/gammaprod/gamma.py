@@ -23,9 +23,8 @@ from .jointfactor import (
     JointFactorSpec,
     TruncationPolicy,
     joint_factor,
-    log_head,
     log_partial_product,  # noqa: F401 -- not called here; perfbench/test_perfbench.py reads gamma.log_partial_product
-    log_product_tail,
+    shifted_product,
 )
 from .reference import ref_gamma, ref_log_gamma
 
@@ -180,35 +179,33 @@ def gamma_negative_duplication(arg: RationalArgument, policy: TruncationPolicy =
     return -math.exp(log_mag) / math.sin(math.pi * t)
 
 
+def _beta_product(x: float, y: float, m: int, tail: bool) -> float:
+    """The k = 1 factor (x+y) / [(1+y) x] over y, then the factors
+    j = k-1 >= 1, (j+1)(j+x+y) / [(j+1+y)(j+x)]: c = y (1-x), u = 1+y,
+    v = x, roots 1 and x+y, shift d = y."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"x must be positive and finite, got {x}")
+    if not 0.0 < y < 1.0:
+        raise DomainError(f"y must lie in (0, 1), got {y}")
+    first = (x + y) / x / ((1.0 + y) * y)
+    return shifted_product(first, y * (1.0 - x), 1.0 + y, x, (1.0, x + y, y), m, tail)
+
+
 def beta(x: float, y: float, policy: TruncationPolicy = TruncationPolicy()) -> float:
     """B(x, y) = (1/y) prod_{k>=1} k (k-1+x+y) / [(k+y)(k-1+x)].
 
-    Valid for x > 0, 0 < y < 1.  Factors have the standard shape
+    Valid for finite x > 0, 0 < y < 1.  Factors have the standard shape
     1 + c/[(k+u)(k+v)] with c = y (1-x), u = y, v = x-1, and numerator
     roots 0 and x+y-1, so the joint-factor head and exact tail apply
-    unchanged; the tail is skipped only in ``fixed`` mode.
+    unchanged; the tail is skipped only in ``fixed`` mode.  ``DomainError``
+    if B lies beyond the double range.
     """
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if not 0.0 < y < 1.0:
-        raise DomainError(f"y must lie in (0, 1), got {y}")
-    c = y * (1.0 - x)
-    roots = (0.0, x + y - 1.0, y)
-    log_b = -math.log(y) + log_head(c, y, x - 1.0, roots, policy.m)
-    if policy.mode != "fixed":
-        log_b += log_product_tail(c, *roots, policy.m)
-    return math.exp(log_b)
+    return _beta_product(x, y, policy.m, policy.mode != "fixed")
 
 
 def beta_partial(x: float, y: float, m: int) -> float:
     """The raw m-term partial of the Beta product (no tail correction)."""
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if not 0.0 < y < 1.0:
-        raise DomainError(f"y must lie in (0, 1), got {y}")
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    return math.exp(-math.log(y) + log_head(y * (1.0 - x), y, x - 1.0, (0.0, x + y - 1.0, y), m))
+    return _beta_product(x, y, m, False)
 
 
 def clear_factor_cache() -> None:

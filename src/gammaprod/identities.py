@@ -2,8 +2,10 @@
 two competing products for [Gamma(1/4)]^2.
 
 All the trigonometric products have factors of the shape
-1 + c / [(k+u)(k+v)] = (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)] and reuse the
-joint-factor head and exact tail:
+1 + c / [(k+u)(k+v)] = (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)] and go through
+:func:`gammaprod.jointfactor.shifted_product`: the k = 1 factor is formed
+from its exact linear terms, so a small x is never rounded away, and the
+rest, shifted to j = k-1, have u+1, v+1 and roots r+1 with the same c and d:
 
 * sin(pi x)      = prod (2/(2k-1))^2 (k-x)(k-1+x)            c = -(x-1/2)^2, u = v = -1/2
                                                               r = -x, x-1; d = x-1/2
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .jointfactor import log_head, log_product_tail
+from .jointfactor import shifted_product
 from .reference import ref_gamma
 
 
@@ -41,49 +43,62 @@ class IdentityCheck:
     rel_residual: float
 
 
-def _product(c: float, u: float, v: float, roots: tuple[float, float, float], m: int, tail: bool) -> float:
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    log_p = log_head(c, u, v, roots, m)
-    if tail:
-        log_p += log_product_tail(c, *roots, m)
-    return math.exp(log_p)
+def _product(first: float, c: float, u: float, v: float, roots: tuple[float, float, float], m: int, tail: bool) -> float:
+    # kept as a name: perfbench/tracer.py traces the identities layer through it
+    return shifted_product(first, c, u, v, roots, m, tail)
 
 
 def sin_product(x: float, m: int, tail: bool = True) -> float:
-    """sin(pi x) as prod_{k<=m} (2/(2k-1))^2 (k-x)(k-1+x), 0 < x < 1."""
+    """sin(pi x) as prod_{k<=m} (2/(2k-1))^2 (k-x)(k-1+x), 0 < x < 1.
+
+    k = 1 gives 4x(1-x); the rest, j = k-1, have roots 1-x and x."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
-    c = -((x - 0.5) * (x - 0.5))
-    return _product(c, -0.5, -0.5, (-x, x - 1.0, x - 0.5), m, tail)
+    first = 4.0 * x * (1.0 - x)
+    return _product(first, -((x - 0.5) * (x - 0.5)), 0.5, 0.5, (1.0 - x, x, x - 0.5), m, tail)
 
 
 def tan_product(x: float, m: int, tail: bool = True) -> float:
     """tan(pi x) as prod_{n<=m} (2n-2+2x)(2n-2x) / [(2n-1)^2 - (2x)^2],
-    0 < x < 1/2 (the pole at 1/2 is excluded)."""
+    0 < x < 1/2 (the pole at 1/2 is excluded).
+
+    n = 1 gives x(1-x) / [(1/2-x)(1/2+x)]; the rest, j = n-1, have roots
+    x and 1-x."""
     if not 0.0 < x < 0.5:
         raise DomainError(f"x must lie in (0, 1/2), got {x}")
-    c = x - 0.25
-    return _product(c, -0.5 - x, -0.5 + x, (x - 1.0, -x, 0.5 - 2.0 * x), m, tail)
+    first = x / (0.5 - x) * ((1.0 - x) / (0.5 + x))
+    return _product(first, x - 0.25, 0.5 - x, 0.5 + x, (x, 1.0 - x, 0.5 - 2.0 * x), m, tail)
 
 
 def pow2_product(b: float, m: int, tail: bool = True) -> float:
     """prod_{n<=m} (n-1/2)(n-1/2+b) / [(n-b)(n-1+2b)] for 0 < b < 1.
 
     Converges to 2^{2b-1} / sin(pi b); the factors degenerate to 1 at both
-    b = 1/4 and b = 1/2.
+    b = 1/4 and b = 1/2.  n = 1 gives (1/2)(1/2+b) / [(1-b) 2b]; the rest,
+    j = n-1, have roots 1/2 and b+1/2.
     """
     if not 0.0 < b < 1.0:
         raise DomainError(f"b must lie in (0, 1), got {b}")
     c = (1.0 - 2.0 * b) * (1.0 - 4.0 * b) / 4.0
-    return _product(c, -b, 2.0 * b - 1.0, (-0.5, b - 0.5, 0.5 - b), m, tail)
+    first = 0.25 / b * ((0.5 + b) / (1.0 - b))
+    return _product(first, c, 1.0 - b, 2.0 * b, (0.5, b + 0.5, 0.5 - b), m, tail)
+
+
+def _sin_pi(x: float) -> float:
+    """sin(pi x) on (0, 1), reflected to 1-x (exact) above 1/2."""
+    return math.sin(math.pi * min(x, 1.0 - x))
+
+
+def _tan_pi(x: float) -> float:
+    """tan(pi x) on (0, 1/2), as 1/tan(pi (1/2-x)) (exact 1/2-x) above 1/4."""
+    return math.tan(math.pi * x) if x <= 0.25 else 1.0 / math.tan(math.pi * (0.5 - x))
 
 
 def pow2_reference(b: float) -> float:
     """Closed form 2^{2b-1} / sin(pi b)."""
     if not 0.0 < b < 1.0:
         raise DomainError(f"b must lie in (0, 1), got {b}")
-    return math.exp((2.0 * b - 1.0) * math.log(2.0)) / math.sin(math.pi * b)
+    return math.exp((2.0 * b - 1.0) * math.log(2.0)) / _sin_pi(b)
 
 
 def gamma_quarter_squared(m: int) -> tuple[float, float]:
@@ -99,10 +114,16 @@ def gamma_quarter_squared(m: int) -> tuple[float, float]:
     return classical[-1], new[-1]
 
 
+# The quarter partials are raw running products, kept as two lists: time
+# and memory grow with m, so orders beyond this are refused.
+QUARTER_M_MAX = 1_000_000
+
+
 def quarter_partials(m_max: int) -> tuple[list[float], list[float]]:
-    """Running partial products of both quarter identities for m = 1..m_max."""
-    if m_max < 1:
-        raise DomainError(f"m_max must be >= 1, got {m_max}")
+    """Running partial products of both quarter identities for m = 1..m_max,
+    1 <= m_max <= QUARTER_M_MAX."""
+    if not 1 <= m_max <= QUARTER_M_MAX:
+        raise DomainError(f"m_max must lie in [1, {QUARTER_M_MAX}], got {m_max}")
     classical = []
     new = []
     c_acc = 4.0 * math.pi
@@ -122,8 +143,8 @@ def quarter_reference() -> float:
 
 
 _CLOSED_FORMS = {
-    "sin": (sin_product, lambda x: math.sin(math.pi * x)),
-    "tan": (tan_product, lambda x: math.tan(math.pi * x)),
+    "sin": (sin_product, _sin_pi),
+    "tan": (tan_product, _tan_pi),
     "pow2": (pow2_product, pow2_reference),
 }
 

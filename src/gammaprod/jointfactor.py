@@ -27,8 +27,9 @@ ten factors and takes factors 11..m as the difference of the tails after 10
 and after m, so an m-factor truncate costs the same for m = 10 and m = 10^9
 and still equals f_m.  The joint factor's first factor x / [(1-b)(x+b)] is
 taken by its own log, which stays exact as x -> 0.  The Beta product and the
-trigonometric product identities share the factor shape and pass their own
-closed-form roots to the same head and tail.
+trigonometric product identities share the factor shape: :func:`shifted_product`
+takes their k = 1 factor from its exact linear terms and their other factors,
+with closed-form roots, through the same head and tail.
 """
 
 from __future__ import annotations
@@ -221,6 +222,33 @@ def log_head(c: float, u: float, v: float, roots: tuple[float, float, float], m:
     return total
 
 
+def shifted_product(first: float, c: float, u: float, v: float, roots: tuple[float, float, float], m: int, tail: bool) -> float:
+    """A product of m factors whose k = 1 factor is ``first``, the other
+    m-1 passed shifted to j = k-1 >= 1 as 1 + c/[(j+u)(j+v)] with roots
+    (r1, r2, d); with ``tail``, the whole infinite product, which is the
+    first min(m, 11) factors times the exact tail after them.
+
+    Written as 1 + c/D_1, a k = 1 factor that vanishes or blows up with a
+    small argument rounds that argument away.  The caller forms ``first``
+    from the factor's exact linear terms instead, and the shifted roots never
+    build a small argument as (a-1)+1.  ``first`` is kept as a ratio rather
+    than a log, so a huge or tiny value does not carry the rounding of a
+    large log through exp.  ``DomainError`` if the product lies beyond the
+    double range.
+    """
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    if tail:
+        n = min(m - 1, _DEFAULT_M)
+        log_rest = log_partial_product(c, u, v, n) + log_product_tail(c, *roots, n)
+    else:
+        log_rest = log_head(c, u, v, roots, m - 1)
+    value = first * _exp(log_rest)
+    if not math.isfinite(value):
+        raise DomainError(f"the product {first!r} * exp({log_rest:.17g}) overflows the double range")
+    return value
+
+
 def _extend_log_partial(c: float, u: float, v: float, start: int, stop: int, total: float, comp: float):
     for k in range(start, stop + 1):
         term = math.log1p(c / ((k + u) * (k + v)))
@@ -257,7 +285,7 @@ def _exp(log_value: float) -> float:
     try:
         return math.exp(log_value)
     except OverflowError:
-        raise DomainError(f"the joint factor exp({log_value:.17g}) overflows the double range") from None
+        raise DomainError(f"exp({log_value:.17g}) overflows the double range") from None
 
 
 def truncate(spec: JointFactorSpec, m: int) -> float:

@@ -154,6 +154,74 @@ def test_jointfactor_overflow_is_domain_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "verb, t, value",
+    [
+        ("digamma", "1e-17", -1e17),  # used to fail in the zeta tail's power_tail(1+t)
+        ("digamma", "5.6e-309", -1.0 / 5.6e-309 - 0.5772156649015329),  # psi ~ -1/t still fits a double
+        ("trigamma", "1e-154", 1e308),
+        ("trigamma", "7.5e-155", 1.0 / 7.5e-155**2),
+    ],
+)
+def test_polygamma_at_tiny_t(capsys, verb, t, value):
+    code, out, _ = invoke(capsys, verb, "--t", t)
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "verb, t", [("digamma", "5.5e-309"), ("digamma", "5e-324"), ("trigamma", "7.4e-155"), ("trigamma", "1e-200")]
+)
+def test_polygamma_overflow_is_domain_error(capsys, verb, t):
+    code, out, err = invoke(capsys, verb, "--t", t)
+    assert code == EXIT_DOMAIN and out == ""
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("beta", "--x", "1e-17", "--y", "0.5", "--tail"), 1e17),  # B(x, y) = 1/x - psi(y) - g + O(x)
+        (("beta", "--x", "1e-300", "--y", "0.5", "--tail"), 1e300),
+        (("identity", "--name", "sin", "--x", "1e-17", "--m", "1000", "--tail"), math.pi * 1e-17),
+        (("identity", "--name", "tan", "--x", "1e-17", "--m", "1000", "--tail"), math.pi * 1e-17),
+        (("identity", "--name", "pow2", "--b", "1e-17", "--m", "1000", "--tail"), 0.5 / (math.pi * 1e-17)),
+    ],
+)
+def test_products_at_tiny_arguments(capsys, argv, value):
+    # each ended in a traceback while the k = 1 factor was formed as 1 + c/D_1
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload.get("value", payload.get("lhs")) == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta", "--x", "1e-320", "--y", "0.5"),  # B ~ 1/x overflows
+        ("beta", "--x", "nan", "--y", "0.5"),
+        ("beta", "--x", "inf", "--y", "0.5"),
+        ("identity", "--name", "quarter", "--m", "1000000000"),  # raw running products, O(m) lists
+    ],
+)
+def test_product_inputs_out_of_range_are_domain_errors(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+
+
+def test_identity_residual_near_the_reflection_points(capsys):
+    # the closed forms reflect, so 1/2 - x and 1 - x keep their bits
+    for argv in (
+        ("--name", "tan", "--x", "0.49999999999999994"),
+        ("--name", "sin", "--x", "0.9999999999"),
+        ("--name", "pow2", "--b", "0.9999999999"),
+    ):
+        code, out, _ = invoke(capsys, "identity", *argv, "--m", "1000", "--tail")
+        assert code == EXIT_OK
+        assert json.loads(out)["rel_residual"] < 1e-15
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("jointfactor", "--x", "0.25", "--b", "0.5", "--tail"),

@@ -2,10 +2,12 @@
 their own raw series."""
 
 import math
+import time
 
 import pytest
 
 from conftest import grid
+from gammaprod import polygamma
 from gammaprod.errors import DomainError
 from gammaprod.polygamma import (
     digamma,
@@ -136,3 +138,65 @@ def test_domain_errors():
         digamma_series_raw(0.5, 0)
     with pytest.raises(DomainError):
         zeta_tail(1.5, 100)
+
+
+def test_every_n0_gives_the_same_value_and_counts_n0_terms():
+    for fn in (digamma, trigamma):
+        results = [fn(0.3, n0) for n0 in (10, 11, 1000, 10**9)]
+        assert len({r.value for r in results}) == 1
+        assert [r.head_terms for r in results] == [10, 11, 1000, 10**9]
+        tails = [abs(r.tail_estimate) for r in results]
+        assert all(a > b > 0.0 for a, b in zip(tails, tails[1:]))
+
+
+def test_a_billion_term_head_costs_what_ten_do():
+    for fn in (digamma, trigamma):
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            fn(0.3, 10**9)
+            best = min(best, time.perf_counter() - start)
+        assert best < 1e-3
+
+
+# digamma_series_raw(t, N) for t in (1e-6, 0.01, 0.3, 0.5, 0.77, 0.99) and
+# N = 1, 1000, as computed from the oracle-seeded f(1, 1-t) = Gamma(2-t) Gamma(t)
+RAW_SERIES = {
+    1e-6: (-1.5772146649015317, -8.062657687412946),
+    0.01: (-1.5672156649015316, -7.780729684032554),
+    0.3: (-1.2772156649015327, -3.1792955432726284),
+    0.5: (-1.0772156649015325, -1.9278379476885679),
+    0.77: (-0.8072156649015328, -1.034452477055542),
+    0.99: (-0.5872156649015329, -0.5937754242772374),
+}
+
+
+def test_raw_series_keeps_its_values_with_the_closed_form_seed():
+    for t, (at_1, at_1000) in RAW_SERIES.items():
+        assert digamma_series_raw(t, 1) == pytest.approx(at_1, rel=1e-13)
+        assert digamma_series_raw(t, 1000) == pytest.approx(at_1000, rel=1e-13)
+        # one term: -g - (sin(pi t)/pi) f(1, 1-t) = -g - (1-t)
+        assert digamma_series_raw(t, 1) == pytest.approx(-EULER_GAMMA - (1.0 - t), rel=1e-15)
+
+
+def test_polygamma_takes_nothing_from_the_oracle():
+    assert not [name for name in vars(polygamma) if name.startswith("ref_") or name == "log_power_tail"]
+
+
+@pytest.mark.parametrize("fn, fits, overflows", [(digamma, 5.6e-309, 5.5e-309), (trigamma, 7.5e-155, 7.4e-155)])
+def test_tiny_t_up_to_the_double_range(fn, fits, overflows):
+    for t in (1e-17, 1e-100, fits):
+        value = fn(t, 1000).value
+        assert math.isfinite(value)
+        assert value == pytest.approx(-1.0 / t if fn is digamma else 1.0 / t / t, rel=1e-15)
+    for t in (overflows, 1e-320, 5e-324):
+        with pytest.raises(DomainError, match="overflows"):
+            fn(t, 1000)
+
+
+def test_n0_beyond_two_to_the_53_is_a_domain_error():
+    for fn in (digamma, trigamma):
+        assert math.isfinite(fn(0.5, 2**53).tail_estimate)
+        for n0 in (2**53 + 1, 10**400):
+            with pytest.raises(DomainError):
+                fn(0.5, n0)

@@ -159,12 +159,69 @@ def test_trig_products_at_m1000(product, closed, hi):
     assert worst <= 5e-14
 
 
-@pytest.mark.parametrize("fn, exact, bound", [(digamma, mp.digamma, 2e-9), (trigamma, lambda t: mp.psi(1, t), 2e-8)])
-def test_polygamma_at_n0_1000(fn, exact, bound):
-    # README: psi and psi' at n0 = 1000 to 2e-9 and 2e-8 absolute (measured 1.56e-9, 1.27e-8)
+def _pow2_exact(b):
+    return mp.power(2, 2 * b - 1) / mp.sin(mp.pi * b)
+
+
+@pytest.mark.parametrize(
+    "value, exact",
+    [
+        (lambda: beta(1e-14, 0.5), lambda: mp.beta(mp.mpf(1e-14), 0.5)),
+        (lambda: beta(1e-17, 0.5), lambda: mp.beta(mp.mpf(1e-17), 0.5)),
+        (lambda: beta(1e-300, 0.5), lambda: mp.beta(mp.mpf(1e-300), 0.5)),
+        (lambda: sin_product(1e-14, 1000), lambda: mp.sin(mp.pi * mp.mpf(1e-14))),
+        (lambda: sin_product(1e-17, 1000), lambda: mp.sin(mp.pi * mp.mpf(1e-17))),
+        (lambda: tan_product(1e-14, 1000), lambda: mp.tan(mp.pi * mp.mpf(1e-14))),
+        (lambda: tan_product(1e-17, 1000), lambda: mp.tan(mp.pi * mp.mpf(1e-17))),
+        (lambda: pow2_product(1e-12, 1000), lambda: _pow2_exact(mp.mpf(1e-12))),
+        (lambda: pow2_product(1e-17, 1000), lambda: _pow2_exact(mp.mpf(1e-17))),
+    ],
+    ids=["B_1e-14", "B_1e-17", "B_1e-300", "sin_1e-14", "sin_1e-17", "tan_1e-14", "tan_1e-17", "pow2_1e-12", "pow2_1e-17"],
+)
+def test_products_at_tiny_arguments(value, exact):
+    # the k = 1 factor is formed from its exact linear terms: these were off
+    # by 8e-4 (B, sin, tan at 1e-14) and 2.2e-5 (pow2 at 1e-12), or raised
+    assert rel_err(value(), exact()) <= 5e-14
+
+
+@pytest.mark.parametrize(
+    "product, closed, hi",
+    [(sin_product, lambda x: mp.sin(mp.pi * x), 1.0), (tan_product, lambda x: mp.tan(mp.pi * x), 0.5), (pow2_product, _pow2_exact, 1.0)],
+    ids=["sin", "tan", "pow2"],
+)
+def test_trig_products_over_log_uniform_arguments(product, closed, hi):
+    # x down to 1e-300, and hi - x for each x that does not round it to hi
+    rng = random.Random(20078)
+    xs = [log_uniform(rng, 1e-300, 0.5 * hi) for _ in range(200)]
+    xs += [hi - x for x in xs if hi - x < hi]
+    assert max(rel_err(product(x, 1000), closed(mp.mpf(x))) for x in xs) <= 5e-14
+
+
+def polygamma_points(lo: float):
+    """1000 t log-uniform on [lo, 0.01], 1000 uniform on (0.01, 0.99), and edges."""
     rng = random.Random(20075)
-    ts = [rng.uniform(0.01, 0.99) for _ in range(200)] + [0.01, 0.5, 0.99]
-    assert max(abs(float(fn(t, 1000).value - exact(mp.mpf(t)))) for t in ts) <= bound
+    ts = [log_uniform(rng, lo, 0.01) for _ in range(1000)] + [rng.uniform(0.01, 0.99) for _ in range(1000)]
+    return ts + [lo, 1e-12, 1e-6, 1e-3, 0.5, 0.999999, 1.0 - 2.0**-53]
+
+
+# psi' = 1/t^2 + ... overflows below t ~ 7.5e-155
+@pytest.mark.parametrize(
+    "fn, exact, lo", [(digamma, mp.digamma, 1e-300), (trigamma, lambda t: mp.psi(1, t), 1e-154)], ids=["digamma", "trigamma"]
+)
+def test_polygamma_at_n0_1000(fn, exact, lo):
+    # README: psi and psi' to 1e-15 relative on (0, 1) (measured 4.9e-16 and 2.4e-16)
+    assert max(rel_err(fn(t, 1000).value, exact(mp.mpf(t))) for t in polygamma_points(lo)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "fn, tail",
+    [(digamma, lambda t, n: mp.digamma(n + t) - mp.digamma(n + 1)), (trigamma, lambda t, n: mp.psi(1, n + t))],
+    ids=["digamma", "trigamma"],
+)
+def test_polygamma_tail_estimate_is_the_exact_tail(fn, tail):
+    for n0 in (10, 11, 1000, 10**9):
+        for t in (1e-100, 0.3, 0.999999):
+            assert rel_err(fn(t, n0).tail_estimate, tail(mp.mpf(t), n0)) <= 2e-15, (n0, t)
 
 
 @pytest.mark.parametrize(
