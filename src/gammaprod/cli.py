@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Any, Sequence
 
@@ -28,6 +29,10 @@ EXIT_CONVERGENCE = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
 
+# Values argparse reads after "--f " besides -1 and -0.5: -1e-300, -inf, -nan.
+_NEGATIVE_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
 class _UsageError(Exception):
     pass
 
@@ -35,6 +40,7 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):  # no prefix matching: --m is not --m-list
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):  # argparse would exit(2); we want 64
         raise _UsageError(message)
@@ -204,8 +210,8 @@ def _dict_to_csv(payload: dict) -> str:
 
 
 def _do_gamma(args) -> tuple[Any, int]:
-    gv = gamma_rational(RationalArgument(args.q, args.p), _policy(args))
     arg = RationalArgument(args.q, args.p)
+    gv = gamma_rational(arg, _policy(args))
     oracle = ref_gamma(arg.value)
     payload = {
         "op": "gamma",
@@ -215,7 +221,7 @@ def _do_gamma(args) -> tuple[Any, int]:
         "log_value": gv.log_value,
         "reciprocal": gv.reciprocal,
         "method": gv.method,
-        "m_used": args.m,
+        "m_used": gv.m_used,
         "tail_corrected": args.tail or args.tol is not None,
         "rel_err_vs_oracle": abs(gv.value - oracle) / oracle,
     }

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import DomainError
 from .jointfactor import (
@@ -59,7 +60,7 @@ class GammaValue:
 
     ``term_logs`` holds (mu_k, v_k) = (ln f(k/p, 1/p), ln f(1/p, k/p)) when
     the product path produced them, so ln Gamma can be reassembled and
-    audited term by term.
+    audited term by term; ``m_used`` is the longest head any factor used.
     """
 
     value: float
@@ -67,6 +68,7 @@ class GammaValue:
     reciprocal: float
     method: str
     term_logs: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    m_used: int = 0
 
 
 def _as_small_fraction(t: float, max_den: int = _MAX_RATIONAL_DEN) -> RationalArgument | None:
@@ -81,12 +83,20 @@ def _as_small_fraction(t: float, max_den: int = _MAX_RATIONAL_DEN) -> RationalAr
     return None
 
 
-@lru_cache(maxsize=4096)
-def _factor_log(xq: int, xp: int, bq: int, bp: int, policy: TruncationPolicy) -> float:
-    """Cached ln f(xq/xp, bq/bp); keyed on exact rationals so grid sweeps
-    over q reuse the per-p factor tables."""
-    est = joint_factor(JointFactorSpec(xq / xp, bq / bp), policy)
-    return est.log_value
+@lru_cache(maxsize=128)
+def _factor_log(p: int, policy: TruncationPolicy) -> tuple:
+    """p's factor table, read by every Gamma(q/p): (mu, prefix, v, V, m_used),
+    mu_k = ln f(k/p, 1/p) for k < p, prefix[j] = fsum(mu[:j]), v_k =
+    ln f(1/p, k/p) for k < p-1, V = fsum(v), m_used the longest head."""
+    mu_est = [joint_factor(JointFactorSpec(k / p, 1 / p), policy) for k in range(1, p)]
+    v_est = [joint_factor(JointFactorSpec(1 / p, k / p), policy) for k in range(1, p - 1)]
+    mu, v = tuple(est.log_value for est in mu_est), tuple(est.log_value for est in v_est)
+    # prefix in O(p): each mu_k is an integer multiple of 1/den (den a power of
+    # two), so every running sum is an exact integer, rounded once as by fsum
+    ratios = [x.as_integer_ratio() for x in mu]
+    den = max(d for _, d in ratios)
+    prefix = tuple(s / den for s in accumulate((n * (den // d) for n, d in ratios), initial=0))
+    return mu, prefix, v, math.fsum(v), max(est.m_used for est in mu_est + v_est)
 
 
 def log_c_constant(p: int, q: int) -> float:
@@ -110,11 +120,10 @@ def gamma_rational(arg: RationalArgument, policy: TruncationPolicy = TruncationP
         v = math.sqrt(math.pi)
         lg = 0.5 * math.log(math.pi)
         return GammaValue(v, lg, math.exp(-lg), "oracle")
-    mu = tuple(_factor_log(k, p, 1, p, policy) for k in range(1, q))
-    v_terms = tuple(_factor_log(1, p, k, p, policy) for k in range(1, p - 1))
-    log_value = log_c_constant(p, q) + math.fsum(mu) - (q / p) * math.fsum(v_terms)
+    mu, prefix, v, v_sum, m_used = _factor_log(p, policy)
+    log_value = log_c_constant(p, q) + prefix[q - 1] - (q / p) * v_sum
     method = "lemma31" if q == 1 else "theorem31"
-    return GammaValue(math.exp(log_value), log_value, math.exp(-log_value), method, (mu, v_terms))
+    return GammaValue(math.exp(log_value), log_value, math.exp(-log_value), method, (mu[: q - 1], v), m_used)
 
 
 def gamma_inv_p_pow(p: int, policy: TruncationPolicy = TruncationPolicy()) -> float:
@@ -122,7 +131,7 @@ def gamma_inv_p_pow(p: int, policy: TruncationPolicy = TruncationPolicy()) -> fl
     if p < 3:
         raise DomainError(f"p must be >= 3, got {p}")
     log_val = (p - 1) * math.log(_TWO_PI) - math.log(p)
-    log_val -= math.fsum(_factor_log(1, p, k, p, policy) for k in range(1, p - 1))
+    log_val -= _factor_log(p, policy)[3]  # V = fsum(v)
     return math.exp(log_val)
 
 
@@ -209,7 +218,7 @@ def beta_partial(x: float, y: float, m: int) -> float:
 
 
 def clear_factor_cache() -> None:
-    """Drop the memoized per-p factor tables (mainly for benchmarks)."""
+    """Drop the memoized per-denominator factor tables (mainly for benchmarks)."""
     _factor_log.cache_clear()
 
 

@@ -103,7 +103,7 @@ class TruncationPolicy:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if not 0.0 < self.tol < 1.0:
             raise DomainError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.m_max < self.m:
+        if self.mode == "adaptive" and self.m_max < self.m:  # the only mode that reads m_max
             raise DomainError("m_max must be >= m")
 
 

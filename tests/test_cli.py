@@ -363,6 +363,54 @@ def test_adaptive_tolerances_are_met(capsys, argv):
     assert json.loads(out)["rel_err_vs_oracle"] < 1e-13
 
 
+def test_gamma_reports_the_head_its_factors_used(capsys):
+    # adaptive mode picks each factor's head (at least 16); fixed and tail
+    # modes use --m for every factor
+    for extra, m_used in ((("--tol", "1e-14"), 16), ((), 1), (("--tail",), 1)):
+        code, out, _ = invoke(capsys, "gamma", "--q", "3", "--p", "7", "--m", "1", *extra)
+        assert code == EXIT_OK
+        assert json.loads(out)["m_used"] == m_used, extra
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta", "--x", "2.5", "--y", "0.5"),
+        ("gamma", "--q", "3", "--p", "7"),
+        ("jointfactor", "--x", "0.25", "--b", "0.5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_heads_beyond_ten_million_are_accepted(capsys, argv):
+    # m_max caps only the adaptive search; the fixed and tail modes cost the
+    # same at any m
+    for extra in ((), ("--tail",)):
+        code, out, err = invoke(capsys, *argv, "--m", "100000000", *extra)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["m_used"] == 100000000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta", "--x", "-1e-300", "--y", "0.5"),
+        ("beta", "--x", "2.5", "--y", "-1e5"),
+        ("digamma", "--t", "-inf"),
+        ("digamma", "--t", "-1E-5"),
+        ("jointfactor", "--x", "-1e-300", "--b", "0.5"),
+        ("jointfactor", "--x", "0.5", "--b", "-inf"),
+        ("jointfactor", "--x", "0.5", "--b", "-nan"),
+    ],
+    ids=" ".join,
+)
+def test_negative_values_after_a_space_are_values(capsys, argv):
+    # argparse alone reads -1e-300 or -inf after "--x " as a flag
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == "" and "domain error" in err
+    joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert invoke(capsys, *joined)[0] == EXIT_DOMAIN
+
+
 def test_adaptive_tolerance_success(capsys):
     code, out, _ = invoke(capsys, "jointfactor", "--x", "0.25", "--b", "0.5", "--m", "16", "--tol", "1e-4")
     assert code == EXIT_OK

@@ -1,6 +1,7 @@
-"""Property test of the CLI's exit-code contract: any float arguments, finite
+"""Property tests of the CLI's exit-code contract: any float arguments, finite
 or not, and any head length up to 10^9 end in a documented exit code, with
-no traceback and no NaN in the JSON."""
+no traceback and no NaN in the JSON; a float reads the same after ``--f ``
+as after ``--f=``."""
 
 import contextlib
 import io
@@ -17,12 +18,17 @@ st = hypothesis.strategies
 EXIT_CODES = {0, 1, 2, 3, 64}
 floats = st.floats(allow_nan=True, allow_infinity=True)
 orders = st.integers(max_value=10**9)
+# gamma fills one table of 2p-3 joint factors for each new denominator p, so
+# q and p stay below 10^4, where a table takes about a quarter of a second;
+# larger p cost the CLI proportionally more, not another exit code
+fractions = st.integers(min_value=-10, max_value=10**4)
+# any float, and often one inside adaptive mode's (0, 1)
+tols = st.one_of(floats, st.floats(min_value=1e-300, max_value=0.9))
 
 
 @st.composite
 def flag(draw, name, values):
-    """``--name=value`` or ``--name value``: argparse reads a negative value
-    in exponent form (``-1e-300``) as a flag in the second form."""
+    """``--name=value`` or ``--name value``."""
     value = draw(values)
     return [f"--{name}={value!r}"] if draw(st.booleans()) else [f"--{name}", repr(value)]
 
@@ -33,6 +39,22 @@ def maybe(strategy):
 
 argvs = st.one_of(
     st.tuples(st.sampled_from(["digamma", "trigamma"]), flag("t", floats), maybe(flag("n0", orders))),
+    st.tuples(
+        st.just("gamma"),
+        flag("q", fractions),
+        flag("p", fractions),
+        maybe(flag("m", orders)),
+        maybe(st.just(["--tail"])),
+        maybe(flag("tol", tols)),
+    ),
+    st.tuples(
+        st.just("jointfactor"),
+        flag("x", floats),
+        flag("b", floats),
+        maybe(flag("m", orders)),
+        maybe(st.just(["--tail"])),
+        maybe(flag("tol", tols)),
+    ),
     st.tuples(st.just("beta"), flag("x", floats), flag("y", floats), maybe(flag("m", orders)), maybe(st.just(["--tail"]))),
     st.tuples(
         st.just("identity"),
@@ -67,3 +89,27 @@ def test_cli_exit_codes_under_fuzz(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert _no_nan(json.loads(out.getvalue())), (argv, out.getvalue())
+
+
+# (verb, float flag, the verb's other required flags)
+FLOAT_FLAGS = [
+    ("beta", "x", ["--y", "0.5"]),
+    ("beta", "y", ["--x", "2.5"]),
+    ("digamma", "t", []),
+    ("trigamma", "t", []),
+    ("jointfactor", "x", ["--b", "0.5"]),
+    ("jointfactor", "b", ["--x", "0.5"]),
+    ("jointfactor", "tol", ["--x", "0.5", "--b", "0.5"]),
+    ("identity", "x", ["--name", "sin"]),
+    ("identity", "b", ["--name", "pow2"]),
+]
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(FLOAT_FLAGS), floats)
+def test_a_float_reads_alike_in_both_spellings(case, value):
+    verb, name, rest = case
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        spaced = run([verb, f"--{name}", repr(value), *rest])
+        joined = run([verb, f"--{name}={value!r}", *rest])
+    assert spaced == joined, (verb, name, value)

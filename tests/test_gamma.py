@@ -199,6 +199,50 @@ def test_gamma_ratio_matches_reference_property(x, b):
     assert gamma_ratio(x, b) == pytest.approx(want, rel=1e-9)
 
 
+_TABLE_POLICIES = [TruncationPolicy(), TruncationPolicy(mode="fixed", m=1000), TruncationPolicy(mode="bracket", m=37)]
+
+
+@pytest.mark.parametrize("policy", _TABLE_POLICIES, ids=["default", "fixed-1000", "bracket-37"])
+def test_denominator_table_is_bit_identical_to_the_summed_factors(policy):
+    # every value read from the per-denominator table equals the fsum of the
+    # joint factors it stands for, formed here from joint_factor directly
+    for p in range(3, 65):
+        mu = tuple(joint_factor(JointFactorSpec(k / p, 1 / p), policy).log_value for k in range(1, p - 1))
+        v = tuple(joint_factor(JointFactorSpec(1 / p, k / p), policy).log_value for k in range(1, p - 1))
+        log_inv_p_pow = (p - 1) * math.log(2.0 * math.pi) - math.log(p) - math.fsum(v)
+        assert gamma_inv_p_pow(p, policy) == math.exp(log_inv_p_pow), p
+        for q in range(1, p):
+            if math.gcd(q, p) != 1:
+                continue
+            gv = gamma_rational(RationalArgument(q, p), policy)
+            log_value = log_c_constant(p, q) + math.fsum(mu[: q - 1]) - (q / p) * math.fsum(v)
+            assert gv.log_value == log_value, (q, p)
+            assert gv.term_logs == (mu[: q - 1], v), (q, p)
+            t = q / p
+            want = -math.pi / (t * math.sin(math.pi * t) * math.exp(log_value))
+            assert gamma_negative(RationalArgument(q, p), policy) == want, (q, p)
+
+
+def test_one_table_per_denominator():
+    from gammaprod.gamma import _factor_log, clear_factor_cache
+
+    clear_factor_cache()
+    for q, p in reduced_pairs(64):
+        gamma_rational(RationalArgument(q, p))
+    info = _factor_log.cache_info()
+    assert info.misses == 62 and info.currsize == 62  # p = 3..64
+    assert info.hits == len(reduced_pairs(64)) - 62
+    clear_factor_cache()
+    assert _factor_log.cache_info().currsize == 0
+
+
+def test_m_used_is_the_longest_factor_head():
+    assert gamma_rational(RationalArgument(3, 7), TruncationPolicy(mode="fixed", m=1000)).m_used == 1000
+    adaptive = TruncationPolicy(mode="adaptive", m=1, tol=1e-14)
+    assert gamma_rational(RationalArgument(3, 7), adaptive).m_used == 16
+    assert gamma_rational(RationalArgument(1, 2)).m_used == 0  # exact anchor, no factors
+
+
 def test_rational_path_is_thread_safe():
     # concurrent calls hit the shared factor-log memo; results must be
     # identical to the serial ones

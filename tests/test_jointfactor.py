@@ -201,7 +201,10 @@ def test_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(tol=2.0)
     with pytest.raises(DomainError):
-        TruncationPolicy(m=100, m_max=10)
+        TruncationPolicy(mode="adaptive", m=100, m_max=10)
+    # m_max caps only adaptive mode's search; the other modes cost O(10) at any m
+    for mode in ("fixed", "tail_corrected", "bracket"):
+        assert TruncationPolicy(mode=mode, m=10**8).m == 10**8
 
 
 def test_spec_validation():
