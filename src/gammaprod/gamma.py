@@ -14,10 +14,11 @@ function's product form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError
 from .jointfactor import (
@@ -32,6 +33,9 @@ from .reference import ref_gamma, ref_log_gamma
 _TWO_PI = 2.0 * math.pi
 _MAX_RATIONAL_DEN = 64
 _RATIONAL_TOL = 1e-12
+# largest denominator that gets a factor table: at 1024 one fills in 20-35 ms
+# and keeps about 0.36 MB, so the 128-table memo stays under 50 MB
+_MAX_TABLE_DEN = 1024
 
 
 @dataclass(frozen=True)
@@ -56,38 +60,43 @@ class RationalArgument:
 
 @dataclass(frozen=True)
 class GammaValue:
-    """Gamma(q/p) together with its log, reciprocal and assembly terms.
-
-    ``term_logs`` holds (mu_k, v_k) = (ln f(k/p, 1/p), ln f(1/p, k/p)) when
-    the product path produced them, so ln Gamma can be reassembled and
-    audited term by term; ``m_used`` is the longest head any factor used.
-    """
+    """Gamma(q/p) together with its log, reciprocal and assembly method;
+    ``m_used`` is the longest head any factor used.  The factor logs it was
+    assembled from are read from ``_factor_log(p, policy)``."""
 
     value: float
     log_value: float
     reciprocal: float
     method: str
-    term_logs: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     m_used: int = 0
 
 
-def _as_small_fraction(t: float, max_den: int = _MAX_RATIONAL_DEN) -> RationalArgument | None:
-    """Recognize t as q/p with p <= max_den, else None."""
-    if t <= 0.0:
-        return None
-    frac = Fraction(t).limit_denominator(max_den)
-    if frac.numerator < 1:
-        return None
-    if abs(t - float(frac)) <= _RATIONAL_TOL * max(1.0, t):
-        return RationalArgument(frac.numerator, frac.denominator)
-    return None
+_GAMMA_ONE = GammaValue(1.0, 0.0, 1.0, "oracle")
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_GAMMA_HALF = GammaValue(math.sqrt(math.pi), _LOG_SQRT_PI, math.exp(-_LOG_SQRT_PI), "oracle")
+
+
+class _FactorTable(NamedTuple):
+    """Everything Gamma(q/p) reads for one denominator p >= 3.
+
+    mu_k = ln f(k/p, 1/p) for k < p, prefix[j] = fsum(mu[:j]), v_k =
+    ln f(1/p, k/p) for k < p-1, v_sum = fsum(v), m_used the longest head,
+    and values[q-1] the finished Gamma(q/p) for every q < p.
+    """
+
+    mu: tuple[float, ...]
+    prefix: tuple[float, ...]
+    v: tuple[float, ...]
+    v_sum: float
+    m_used: int
+    values: tuple[GammaValue, ...]
 
 
 @lru_cache(maxsize=128)
-def _factor_log(p: int, policy: TruncationPolicy) -> tuple:
-    """p's factor table, read by every Gamma(q/p): (mu, prefix, v, V, m_used),
-    mu_k = ln f(k/p, 1/p) for k < p, prefix[j] = fsum(mu[:j]), v_k =
-    ln f(1/p, k/p) for k < p-1, V = fsum(v), m_used the longest head."""
+def _factor_log(p: int, policy: TruncationPolicy) -> _FactorTable:
+    """p's factor table, filled once in O(p) and read by every Gamma(q/p)."""
+    if p > _MAX_TABLE_DEN:
+        raise DomainError(f"denominator {p} exceeds the factor-table limit {_MAX_TABLE_DEN}")
     mu_est = [joint_factor(JointFactorSpec(k / p, 1 / p), policy) for k in range(1, p)]
     v_est = [joint_factor(JointFactorSpec(1 / p, k / p), policy) for k in range(1, p - 1)]
     mu, v = tuple(est.log_value for est in mu_est), tuple(est.log_value for est in v_est)
@@ -96,7 +105,14 @@ def _factor_log(p: int, policy: TruncationPolicy) -> tuple:
     ratios = [x.as_integer_ratio() for x in mu]
     den = max(d for _, d in ratios)
     prefix = tuple(s / den for s in accumulate((n * (den // d) for n, d in ratios), initial=0))
-    return mu, prefix, v, math.fsum(v), max(est.m_used for est in mu_est + v_est)
+    v_sum = math.fsum(v)
+    m_used = max(est.m_used for est in mu_est + v_est)
+    values = []
+    for q in range(1, p):
+        log_value = log_c_constant(p, q) + prefix[q - 1] - (q / p) * v_sum
+        method = "lemma31" if q == 1 else "theorem31"
+        values.append(GammaValue(math.exp(log_value), log_value, math.exp(-log_value), method, m_used))
+    return _FactorTable(mu, prefix, v, v_sum, m_used, tuple(values))
 
 
 def log_c_constant(p: int, q: int) -> float:
@@ -105,25 +121,20 @@ def log_c_constant(p: int, q: int) -> float:
 
 
 def gamma_rational(arg: RationalArgument, policy: TruncationPolicy = TruncationPolicy()) -> GammaValue:
-    """Gamma(q/p) for a reduced fraction with q <= p.
+    """Gamma(q/p) for a reduced fraction with q <= p, read from p's table.
 
     Fractions that reduce to 1/1 or 1/2 fall outside the product
     factorization (it needs p >= 3) and are served by the exact anchors
-    Gamma(1) = 1 and Gamma(1/2) = sqrt(pi).
+    Gamma(1) = 1 and Gamma(1/2) = sqrt(pi).  ``DomainError`` if p exceeds
+    ``_MAX_TABLE_DEN`` (1024).  Calls with the same p and policy share one
+    ``GammaValue`` per q while the table stays memoized.
     """
     q, p = arg.q, arg.p
     if q > p:
         raise DomainError(f"q/p must lie in (0, 1], got {q}/{p}")
-    if p == 1:
-        return GammaValue(1.0, 0.0, 1.0, "oracle")
-    if p == 2:
-        v = math.sqrt(math.pi)
-        lg = 0.5 * math.log(math.pi)
-        return GammaValue(v, lg, math.exp(-lg), "oracle")
-    mu, prefix, v, v_sum, m_used = _factor_log(p, policy)
-    log_value = log_c_constant(p, q) + prefix[q - 1] - (q / p) * v_sum
-    method = "lemma31" if q == 1 else "theorem31"
-    return GammaValue(math.exp(log_value), log_value, math.exp(-log_value), method, (mu[: q - 1], v), m_used)
+    if p <= 2:
+        return _GAMMA_ONE if p == 1 else _GAMMA_HALF
+    return _factor_log(p, policy).values[q - 1]
 
 
 def gamma_inv_p_pow(p: int, policy: TruncationPolicy = TruncationPolicy()) -> float:
@@ -131,16 +142,31 @@ def gamma_inv_p_pow(p: int, policy: TruncationPolicy = TruncationPolicy()) -> fl
     if p < 3:
         raise DomainError(f"p must be >= 3, got {p}")
     log_val = (p - 1) * math.log(_TWO_PI) - math.log(p)
-    log_val -= _factor_log(p, policy)[3]  # V = fsum(v)
+    log_val -= _factor_log(p, policy).v_sum
     return math.exp(log_val)
 
 
+@lru_cache(maxsize=1)
+def _small_fractions() -> tuple[tuple[float, ...], tuple[tuple[int, int], ...]]:
+    """Every reduced q/p in (0, 1] with p <= 64, sorted, as (values, (q, p)
+    pairs); built on first use, not at import.  Neighbours lie at least
+    1/(64*63) apart, far wider than _RATIONAL_TOL, so at most one is in reach."""
+    dens = range(1, _MAX_RATIONAL_DEN + 1)
+    ordered = sorted((q / p, q, p) for p in dens for q in range(1, p + 1) if math.gcd(q, p) == 1)
+    return tuple(t for t, _, _ in ordered), tuple((q, p) for _, q, p in ordered)
+
+
 def _log_gamma_anchor(t: float, policy: TruncationPolicy) -> float:
-    """ln Gamma(t) through the rational product path when t is a small
-    fraction (denominator <= 64), else through the reference oracle."""
-    frac = _as_small_fraction(t)
-    if frac is not None and frac.q <= frac.p:
-        return gamma_rational(frac, policy).log_value
+    """ln Gamma(t) through the rational product path when t lies within
+    _RATIONAL_TOL * max(1, t) of a fraction q/p <= 1 with p <= 64, else
+    through the reference oracle."""
+    if 0.0 < t <= 1.0 + _RATIONAL_TOL:
+        values, fractions = _small_fractions()
+        i = bisect_left(values, t)
+        if i == len(values) or (i > 0 and t - values[i - 1] < values[i] - t):
+            i -= 1  # the lower neighbour is the nearer
+        if abs(t - values[i]) <= _RATIONAL_TOL * max(1.0, t):
+            return gamma_rational(RationalArgument(*fractions[i]), policy).log_value
     return ref_log_gamma(t)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -337,6 +338,10 @@ def test_domain_error_exit(capsys):
     code, _, err = invoke(capsys, "gamma", "--q", "0", "--p", "4")
     assert code == EXIT_DOMAIN
     assert "domain error" in err
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "gamma", "--q", "1", "--p", "100003")
+    assert code == EXIT_DOMAIN and out == "" and "1024" in err
+    assert time.perf_counter() - t0 < 0.1  # refused before any factor is formed
     code, out, err = invoke(capsys, "jointfactor", "--x", "inf", "--b", "0.5")
     assert code == EXIT_DOMAIN and out == ""
     assert "finite" in err

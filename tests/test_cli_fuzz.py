@@ -18,9 +18,9 @@ st = hypothesis.strategies
 EXIT_CODES = {0, 1, 2, 3, 64}
 floats = st.floats(allow_nan=True, allow_infinity=True)
 orders = st.integers(max_value=10**9)
-# gamma fills one table of 2p-3 joint factors for each new denominator p, so
-# q and p stay below 10^4, where a table takes about a quarter of a second;
-# larger p cost the CLI proportionally more, not another exit code
+# gamma fills one table of 2p-3 joint factors for each new denominator p up to
+# 1024 (tens of ms each) and exits 1 at once above it; q and p up to 10^4 cover
+# both sides of that cap
 fractions = st.integers(min_value=-10, max_value=10**4)
 # any float, and often one inside adaptive mode's (0, 1)
 tols = st.one_of(floats, st.floats(min_value=1e-300, max_value=0.9))

@@ -1,15 +1,19 @@
 """Rational Gamma values, ratios, duplication, negative arguments and Beta."""
 
 import math
+import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_pairs
 from gammaprod.errors import DomainError
 from gammaprod.gamma import (
     RationalArgument,
+    _factor_log,
+    _log_gamma_anchor,
     beta,
     beta_partial,
     gamma_duplication,
@@ -66,7 +70,8 @@ def test_gamma_value_internal_consistency():
         gv = gamma_rational(RationalArgument(q, p))
         assert gv.value == pytest.approx(math.exp(gv.log_value), rel=1e-14)
         assert gv.value * gv.reciprocal == pytest.approx(1.0, rel=1e-14)
-        mu, v = gv.term_logs
+        table = _factor_log(p, TruncationPolicy())
+        mu, v = table.mu[: q - 1], table.v
         assert len(mu) == q - 1 and len(v) == p - 2
         rebuilt = log_c_constant(p, q) + math.fsum(mu) - (q / p) * math.fsum(v)
         assert rebuilt == pytest.approx(gv.log_value, abs=1e-13)
@@ -184,8 +189,6 @@ def test_fixed_policy_beta_skips_tail():
 
 
 def test_per_call_latency_budget():
-    import time
-
     for q, p in reduced_pairs(12):
         t0 = time.perf_counter()
         gamma_rational(RationalArgument(q, p))
@@ -211,13 +214,15 @@ def test_denominator_table_is_bit_identical_to_the_summed_factors(policy):
         v = tuple(joint_factor(JointFactorSpec(1 / p, k / p), policy).log_value for k in range(1, p - 1))
         log_inv_p_pow = (p - 1) * math.log(2.0 * math.pi) - math.log(p) - math.fsum(v)
         assert gamma_inv_p_pow(p, policy) == math.exp(log_inv_p_pow), p
+        table = _factor_log(p, policy)
         for q in range(1, p):
             if math.gcd(q, p) != 1:
                 continue
             gv = gamma_rational(RationalArgument(q, p), policy)
             log_value = log_c_constant(p, q) + math.fsum(mu[: q - 1]) - (q / p) * math.fsum(v)
             assert gv.log_value == log_value, (q, p)
-            assert gv.term_logs == (mu[: q - 1], v), (q, p)
+            assert gv.value == math.exp(log_value) and gv.reciprocal == math.exp(-log_value), (q, p)
+            assert (table.mu[: q - 1], table.v) == (mu[: q - 1], v), (q, p)
             t = q / p
             want = -math.pi / (t * math.sin(math.pi * t) * math.exp(log_value))
             assert gamma_negative(RationalArgument(q, p), policy) == want, (q, p)
@@ -234,6 +239,63 @@ def test_one_table_per_denominator():
     assert info.hits == len(reduced_pairs(64)) - 62
     clear_factor_cache()
     assert _factor_log.cache_info().currsize == 0
+
+
+def test_warm_calls_share_one_value():
+    arg = RationalArgument(5, 12)
+    assert gamma_rational(arg) is gamma_rational(arg)
+    assert gamma_rational(RationalArgument(2, 4)) is gamma_rational(RationalArgument(1, 2))
+
+
+def test_table_denominator_cap():
+    # p = 1024 fills its table; one past it is refused before any factor is formed
+    assert gamma_rational(RationalArgument(1, 1024)).value == pytest.approx(ref_gamma(1 / 1024), rel=1e-12)
+    t0 = time.perf_counter()
+    for fill in (
+        lambda: gamma_rational(RationalArgument(1, 1025)),
+        lambda: gamma_rational(RationalArgument(1, 100003)),
+        lambda: gamma_negative(RationalArgument(1, 100003)),
+        lambda: gamma_inv_p_pow(1025),
+        lambda: gamma_negative_duplication(RationalArgument(1, 513)),  # reads the table of 2p
+    ):
+        with pytest.raises(DomainError):
+            fill()
+    assert time.perf_counter() - t0 < 0.1
+    assert gamma_negative_duplication(RationalArgument(1, 512)) == pytest.approx(
+        gamma_negative(RationalArgument(1, 512)), rel=1e-9
+    )
+
+
+def _fraction_rule_anchor(t, policy):
+    """The anchor's earlier rule, kept as the reference: Fraction(t) limited to
+    denominator 64, accepted within 1e-12 * max(1, t) and when at most 1."""
+    if t > 0.0:
+        frac = Fraction(t).limit_denominator(64)
+        q, p = frac.numerator, frac.denominator
+        if q >= 1 and abs(t - float(frac)) <= 1e-12 * max(1.0, t) and q <= p:
+            return gamma_rational(RationalArgument(q, p), policy).log_value
+    return ref_log_gamma(t)
+
+
+_ANCHOR_FRACTIONS = [(1, 1), (1, 2)] + reduced_pairs(64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    t=st.one_of(
+        st.tuples(st.sampled_from(_ANCHOR_FRACTIONS), st.floats(min_value=-2e-12, max_value=2e-12)).map(
+            lambda d: d[0][0] / d[0][1] * (1.0 + d[1])
+        ),
+        st.floats(min_value=1.0, max_value=1.0 + 1e-11, exclude_min=True),
+        st.floats(min_value=-300.0, max_value=6.0).map(lambda e: 10.0**e),
+    )
+)
+@example(t=1.0 + 4503 * 2.0**-52)  # the last float above 1 within 1e-12 of it
+@example(t=1.0 + 4504 * 2.0**-52)
+@example(t=1 / 64 * (1.0 - 1e-12))
+def test_bisection_anchor_matches_the_fraction_rule(t):
+    policy = TruncationPolicy()
+    assert _log_gamma_anchor(t, policy).hex() == _fraction_rule_anchor(t, policy).hex()
 
 
 def test_m_used_is_the_longest_factor_head():
