@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 from .errors import DomainError
@@ -31,6 +32,9 @@ from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
+
+# Points per grid above which a suite is refused before any point is evaluated.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,8 @@ def uniform_grid(lo: float, hi: float, points: int, include_lo: bool = True, inc
     (pole / equality cases)."""
     if points < 1:
         raise DomainError("points must be >= 1")
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"points must be <= {MAX_GRID_POINTS}, got {points}")
     if hi <= lo:
         raise DomainError("need hi > lo")
     step = (hi - lo) / (points - 1) if points > 1 else 0.0
@@ -191,9 +197,12 @@ def app9_alzer(x: float, constants: AlzerConstants = AlzerConstants()) -> tuple[
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    a = x ** (constants.alpha * x - 1.0)
-    d = x ** (constants.beta * (x - 1.0) - EULER_GAMMA)
-    e = x ** (x - 1.0 - EULER_GAMMA)
+    try:
+        a = x ** (constants.alpha * x - 1.0)
+        d = x ** (constants.beta * (x - 1.0) - EULER_GAMMA)
+        e = x ** (x - 1.0 - EULER_GAMMA)
+    except OverflowError:
+        raise DomainError(f"the power-law bounds exceed the double range at x = {x!r}") from None
     return a, d, e
 
 
@@ -210,20 +219,38 @@ def app9_refined(x: float, m: int, constants: AlzerConstants = AlzerConstants())
     return _SQRT_PI * a / fm, _SQRT_PI * e / fm
 
 
-def app10_stirling(x: float) -> StirlingDecomposition:
-    """mu(x) and v(x) from the reference oracle."""
+def _finite_remainder(value: float, x: float) -> float:
+    if not math.isfinite(value):  # ln Gamma and x ln x overflow from x ~ 2.5e305 on
+        raise DomainError(f"the Stirling terms exceed the double range at x = {x!r}")
+    return value
+
+
+def _stirling_mu(x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    lx = math.log(x)
-    mu = ref_log_gamma(x) - (0.5 * _LN_2PI + (x - 0.5) * lx - x)
-    v = ref_log_gamma(x + 0.5) - (0.5 * _LN_2PI + x * lx - x)
-    return StirlingDecomposition(x, mu, v)
+    return _finite_remainder(ref_log_gamma(x) - (0.5 * _LN_2PI + (x - 0.5) * math.log(x) - x), x)
+
+
+def _stirling_v(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"x must be positive, got {x}")
+    return _finite_remainder(ref_log_gamma(x + 0.5) - (0.5 * _LN_2PI + x * math.log(x) - x), x)
+
+
+def app10_stirling(x: float) -> StirlingDecomposition:
+    """mu(x) and v(x) from the reference oracle."""
+    return StirlingDecomposition(x, _stirling_mu(x), _stirling_v(x))
 
 
 def schuster_bounds(x: float) -> tuple[float, float]:
     """(-1/24)[1/x + 1/(120 x^3)] <= v(x) <= (-1/24)[1/x - 1/(8 x^3)]."""
     inv = 1.0 / x
-    cube = inv ** 3
+    try:
+        cube = inv ** 3
+    except OverflowError:
+        cube = math.inf
+    if math.isinf(cube):
+        raise DomainError(f"1/x^3 exceeds the double range at x = {x!r}")
     return (-1.0 / 24.0) * (inv + cube / 120.0), (-1.0 / 24.0) * (inv - cube / 8.0)
 
 
@@ -232,7 +259,10 @@ def app10_truncate_rhs(x: float) -> float:
     the m = 1 bound on v(x) - mu(x) (upper for x < 1/2, lower for x > 1/2)."""
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    return math.log(4.0 * math.sqrt(x) / ((1.0 + 2.0 * x) * _SQRT_PI))
+    ratio = 4.0 * math.sqrt(x) / ((1.0 + 2.0 * x) * _SQRT_PI)
+    if not ratio > 0.0:  # 1 + 2x overflows
+        raise DomainError(f"1 + 2x exceeds the double range at x = {x!r}")
+    return math.log(ratio)
 
 
 def app10_mu_lower(x: float) -> float:
@@ -242,94 +272,117 @@ def app10_mu_lower(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-point margin functions
+# margin functions: each evaluates its check over the whole grid and returns
+# {label: [margins]}, labels in the order they first appear along the grid
 # ---------------------------------------------------------------------------
+
+_Columns = dict[str, list[float]]
+
+def _split(xs: Sequence[float], cut: float) -> tuple[list[float], list[float]]:
+    """An ascending grid's points below ``cut`` and the rest."""
+    return [x for x in xs if x < cut], [x for x in xs if not x < cut]
+
+def _labeled(*columns: tuple[str, list[float]]) -> _Columns:
+    """The non-empty columns, in the order given."""
+    return {label: ms for label, ms in columns if ms}
 
 _APP1_POS = "Gamma(1/p) > bound (lower-bound direction)"
 
-def _app1_margins(p: int) -> list[tuple[str, float]]:
-    r = app1_bounds(p)
-    return [(_APP1_POS, r.gamma_pos - r.bound_pos), ("Gamma(-1/p) > bound", r.gamma_neg - r.bound_neg)]
+def _app1_margins(ps: Sequence[int]) -> _Columns:
+    rs = [app1_bounds(p) for p in ps]
+    return {_APP1_POS: [r.gamma_pos - r.bound_pos for r in rs],
+            "Gamma(-1/p) > bound": [r.gamma_neg - r.bound_neg for r in rs]}
 
-def _app5_margins(alpha: float) -> list[tuple[str, float]]:
-    return [("gamma < 1/alpha", app5_upper(alpha) - ref_gamma(alpha))]
+def _app5_margins(alphas: Sequence[float]) -> _Columns:
+    return {"gamma < 1/alpha": [app5_upper(a) - ref_gamma(a) for a in alphas]}
 
-def _app6_margins(y: float, xs: tuple[float, ...], ms: tuple[int, ...]) -> list[tuple[str, float]]:
-    out = []
+def _app6_margins(ys: Sequence[float], xs: tuple[float, ...], ms: tuple[int, ...]) -> _Columns:
+    out = {}
     for x in xs:
-        b_true = math.exp(ref_log_gamma(x) + ref_log_gamma(y) - ref_log_gamma(x + y))
+        b_true = [math.exp(ref_log_gamma(x) + ref_log_gamma(y) - ref_log_gamma(x + y)) for y in ys]
         for m in ms:
-            part = app6_beta_bound(x, y, m)
+            parts = [app6_beta_bound(x, y, m) for y in ys]
             if x < 1.0:
-                out.append((f"B > partial (x={x:g}, m={m})", b_true - part))
+                out[f"B > partial (x={x:g}, m={m})"] = [b - part for b, part in zip(b_true, parts)]
             else:
-                out.append((f"B < partial (x={x:g}, m={m})", part - b_true))
+                out[f"B < partial (x={x:g}, m={m})"] = [part - b for b, part in zip(b_true, parts)]
     return out
 
-def _app7_margins(n: int, s: int, m: int, eq_tol: float) -> list[tuple[str, float]]:
-    ratio = app7_ball_ratio(n)
-    lower, upper = app7_bounds(n, s, m)
-    out = [("lower < ratio", ratio - lower)]
-    if n == 1:
+def _app7_margins(ns: Sequence[int], s: int, m: int, eq_tol: float) -> _Columns:
+    rows = [(n, app7_ball_ratio(n), *app7_bounds(n, s, m)) for n in ns]
+    return _labeled(
+        ("lower < ratio", [ratio - lower for _, ratio, lower, _ in rows]),
         # stated equality case: flagged, not a strict-violation candidate
-        out.append(("upper == ratio at n=1", eq_tol - abs(upper - ratio)))
-    else:
-        out.append(("ratio < upper", upper - ratio))
+        ("upper == ratio at n=1", [eq_tol - abs(upper - ratio) for n, ratio, _, upper in rows if n == 1]),
+        ("ratio < upper", [upper - ratio for n, ratio, _, upper in rows if n != 1]),
+    )
+
+def _app8_margins(alphas: Sequence[float], m: int) -> _Columns:
+    out = {}
+    for alpha in alphas:
+        i_alpha = app8_wallis(alpha)
+        bound = app8_bound(alpha, m)
+        if alpha < 1.0:
+            out[f"I < bound (alpha={alpha:g})"] = [bound - i_alpha]
+        elif alpha > 1.0:
+            out[f"I > bound (alpha={alpha:g})"] = [i_alpha - bound]
+            trig_lo = math.pi / (2.0 * (alpha + 1.0))
+            out[f"bound > pi/(2(a+1)) (alpha={alpha:g})"] = [app8_bound(alpha, 1) - trig_lo]
     return out
 
-def _app8_margins(alpha: float, m: int) -> list[tuple[str, float]]:
-    i_alpha = app8_wallis(alpha)
-    bound = app8_bound(alpha, m)
-    out = []
-    if alpha < 1.0:
-        out.append((f"I < bound (alpha={alpha:g})", bound - i_alpha))
-    elif alpha > 1.0:
-        out.append((f"I > bound (alpha={alpha:g})", i_alpha - bound))
-        trig_lo = math.pi / (2.0 * (alpha + 1.0))
-        out.append((f"bound > pi/(2(a+1)) (alpha={alpha:g})", app8_bound(alpha, 1) - trig_lo))
-    return out
+def _app9_bracket_margins(xs: Sequence[float]) -> _Columns:
+    below, above = _split(xs, 1.0)
+    lo_ade, lo_g = [app9_alzer(x) for x in below], [ref_gamma(x) for x in below]
+    hi_ade, hi_g = [app9_alzer(x) for x in above], [ref_gamma(x) for x in above]
+    return _labeled(
+        ("A < Gamma (0,1)", [g - a for (a, _, _), g in zip(lo_ade, lo_g)]),
+        ("Gamma < D (0,1)", [d - g for (_, d, _), g in zip(lo_ade, lo_g)]),
+        ("D < Gamma (1,inf)", [g - d for (_, d, _), g in zip(hi_ade, hi_g)]),
+        ("Gamma < E (1,inf)", [e - g for (_, _, e), g in zip(hi_ade, hi_g)]),
+    )
 
-def _app9_bracket_margins(x: float) -> list[tuple[str, float]]:
-    a, d, e = app9_alzer(x)
-    g = ref_gamma(x)
-    if x < 1.0:
-        return [("A < Gamma (0,1)", g - a), ("Gamma < D (0,1)", d - g)]
-    return [("D < Gamma (1,inf)", g - d), ("Gamma < E (1,inf)", e - g)]
+def _app9_gamma_side_margins(xs: Sequence[float]) -> _Columns:
+    below, above = _split(xs, 0.5)
+    return _labeled(
+        ("K1 <= Gamma (0,1/2)", [ref_gamma(x) - app9_refined(x, 1)[0] for x in below]),
+        ("L1 >= Gamma (1/2,inf)", [app9_refined(x, 1)[1] - ref_gamma(x) for x in above]),
+    )
 
-def _app9_gamma_side_margins(x: float) -> list[tuple[str, float]]:
-    k1, l1 = app9_refined(x, 1)
-    g = ref_gamma(x)
-    if x < 0.5:
-        return [("K1 <= Gamma (0,1/2)", g - k1)]
-    return [("L1 >= Gamma (1/2,inf)", l1 - g)]
+# margin of each refinement claim from (K1, L1) and (A, D, E)
+_APP9_CLAIMS = {
+    "K1 >= A": lambda kl, ade: kl[0] - ade[0],
+    "L1 <= D": lambda kl, ade: ade[1] - kl[1],
+    "L1 <= E": lambda kl, ade: ade[2] - kl[1],
+}
 
-def _app9_refinement_margins(x: float, which: str) -> list[tuple[str, float]]:
-    """Margin of one refinement claim; ``which`` is its report label,
+def _app9_refinement_margins(xs: Sequence[float], which: str) -> _Columns:
+    """Margins of one refinement claim; ``which`` is its report label,
     "K1 >= A on ...", "L1 <= D on ..." or "L1 <= E on ..."."""
-    k1, l1 = app9_refined(x, 1)
-    a, d, e = app9_alzer(x)
-    return [(which, {"K1 >= A": k1 - a, "L1 <= D": d - l1, "L1 <= E": e - l1}[which[:7]])]
+    margin = _APP9_CLAIMS[which[:7]]
+    return {which: [margin(app9_refined(x, 1), app9_alzer(x)) for x in xs]}
 
-def _app10_margins(x: float) -> list[tuple[str, float]]:
-    dec = app10_stirling(x)
-    lo, hi = schuster_bounds(x)
-    out = [("schuster lower <= v", dec.v - lo), ("v <= schuster upper", hi - dec.v)]
-    if x < 0.5:
-        out.append(("v < 1/(12x) + rhs (0,1/2)", 1.0 / (12.0 * x) + app10_truncate_rhs(x) - dec.v))
-    elif x > 0.5:
-        out.append(("v > rhs (1/2,inf)", dec.v - app10_truncate_rhs(x)))
-    return out
+def _app10_margins(xs: Sequence[float]) -> _Columns:
+    vs = [_stirling_v(x) for x in xs]
+    envelopes = [schuster_bounds(x) for x in xs]
+    below = [(x, v) for x, v in zip(xs, vs) if x < 0.5]
+    above = [(x, v) for x, v in zip(xs, vs) if x > 0.5]
+    return _labeled(
+        ("schuster lower <= v", [v - lo for v, (lo, _) in zip(vs, envelopes)]),
+        ("v <= schuster upper", [hi - v for v, (_, hi) in zip(vs, envelopes)]),
+        ("v < 1/(12x) + rhs (0,1/2)", [1.0 / (12.0 * x) + app10_truncate_rhs(x) - v for x, v in below]),
+        ("v > rhs (1/2,inf)", [v - app10_truncate_rhs(x) for x, v in above]),
+    )
 
-def _app10_improvement_margins(x: float) -> list[tuple[str, float]]:
-    rhs_i = 1.0 / (12.0 * x) + app10_truncate_rhs(x)
-    return [("rhs of (i) < schuster upper (0,1/2)", schuster_bounds(x)[1] - rhs_i)]
+def _app10_improvement_margins(xs: Sequence[float]) -> _Columns:
+    return {"rhs of (i) < schuster upper (0,1/2)":
+            [schuster_bounds(x)[1] - (1.0 / (12.0 * x) + app10_truncate_rhs(x)) for x in xs]}
 
-def _app10_remark_margins(x: float) -> list[tuple[str, float]]:
-    lb = app10_mu_lower(x)
-    return [
-        ("mu lower bound positive [0.144,0.5)", lb),
-        ("mu > lower bound [0.144,0.5)", app10_stirling(x).mu - lb),
-    ]
+def _app10_remark_margins(xs: Sequence[float]) -> _Columns:
+    lbs = [app10_mu_lower(x) for x in xs]
+    return {
+        "mu lower bound positive [0.144,0.5)": lbs,
+        "mu > lower bound [0.144,0.5)": [_stirling_mu(x) - lb for x, lb in zip(xs, lbs)],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +391,9 @@ def _app10_remark_margins(x: float) -> list[tuple[str, float]]:
 
 @dataclass(frozen=True)
 class _Check:
-    """``margins(v, **kwargs)`` at every point ``v`` of ``grid``."""
+    """``margins(grid, **kwargs)``: the check's margins over its whole grid."""
 
-    margins: Callable[..., list[tuple[str, float]]]
+    margins: Callable[..., _Columns]
     var: str
     grid: Sequence[float]
     kwargs: dict[str, Any] = field(default_factory=dict)
@@ -353,9 +406,9 @@ class _Check:
 
 
 # A builder takes (lo, hi, points, m) and returns its checks and a function
-# from the labeled margins to the notes.  It names the margin functions when
+# from the margin columns to the notes.  It names the margin functions when
 # it runs, so each run looks them up among the module globals.
-_Plan = tuple[list[_Check], Callable[[list[tuple[str, float]]], list[str]]]
+_Plan = tuple[list[_Check], Callable[[_Columns], list[str]]]
 
 def _or(value, default):
     return default if value is None else value
@@ -365,36 +418,51 @@ def _fixed_order(suite: str, m: int | None) -> None:
     if m is not None:
         raise DomainError(f"suite {suite} asserts its claims at a fixed truncation order; m={m} cannot apply")
 
+def _fixed_points(suite: str, points: int | None, why: str) -> None:
+    """Grids that ``points`` cannot reach reject it."""
+    if points is not None:
+        raise DomainError(f"suite {suite} {why}; points={points} cannot apply")
+
+def _int_grid(lo: float | None, hi: float | None, default_lo: int, default_hi: int) -> range:
+    first, last = int(_or(lo, default_lo)), int(_or(hi, default_hi))
+    if last - first >= MAX_GRID_POINTS:
+        raise DomainError(f"grid [{first}, {last}] has more than {MAX_GRID_POINTS} points")
+    return range(first, last + 1)
+
 def _suite_app1(lo, hi, points, m) -> _Plan:
     _fixed_order("app1", m)
+    _fixed_points("app1", points, "checks every integer p in [lo, hi]")
 
-    def notes(labeled):
-        dirs = {"lower" if v > 0.0 else "upper" for label, v in labeled if label == _APP1_POS}
+    def notes(columns):
+        dirs = {"lower" if v > 0.0 else "upper" for v in columns.get(_APP1_POS, ())}
         return [f"positive-argument bound direction verified: {sorted(dirs)} (upper-bound reading fails)"]
 
-    return [_Check(_app1_margins, "p", range(int(_or(lo, 3)), int(_or(hi, 12)) + 1))], notes
+    return [_Check(_app1_margins, "p", _int_grid(lo, hi, 3, 12))], notes
 
 def _suite_app5(lo, hi, points, m) -> _Plan:
     _fixed_order("app5", m)
-    return [_Check(_app5_margins, "alpha", uniform_grid(_or(lo, 0.001), _or(hi, 0.999), points or 1000))], lambda _: []
+    return [_Check(_app5_margins, "alpha", uniform_grid(_or(lo, 0.001), _or(hi, 0.999), _or(points, 1000)))], lambda _: []
 
 def _suite_app6(lo, hi, points, m) -> _Plan:
-    ys = uniform_grid(_or(lo, 0.1), _or(hi, 0.9), points or 9)
+    ys = uniform_grid(_or(lo, 0.1), _or(hi, 0.9), _or(points, 9))
     ms = (m,) if m is not None else (1, 2, 5)
     return [_Check(_app6_margins, "y", ys, {"xs": (0.25, 0.5, 2.0, 4.0), "ms": ms})], lambda _: []
 
 def _suite_app7(lo, hi, points, m) -> _Plan:
-    ns, sm = range(int(_or(lo, 1)), int(_or(hi, 50)) + 1), _or(m, 5)
+    _fixed_points("app7", points, "checks every integer n in [lo, hi]")
+    ns, sm = _int_grid(lo, hi, 1, 50), _or(m, 5)
     eq = "n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)"
     return [_Check(_app7_margins, "n", ns, {"s": sm, "m": sm, "eq_tol": 1e-9})], lambda _: [eq] if 1 in ns else []
 
 def _suite_app8(lo, hi, points, m) -> _Plan:
     alphas = [0.25, 0.5, 2.0, 3.5]
     if lo is not None or hi is not None:
-        alphas = [a for a in uniform_grid(_or(lo, 0.1), _or(hi, 4.0), points or 9) if abs(a - 1.0) > 1e-9]
+        alphas = [a for a in uniform_grid(_or(lo, 0.1), _or(hi, 4.0), _or(points, 9)) if abs(a - 1.0) > 1e-9]
+    else:
+        _fixed_points("app8", points, "samples four fixed alphas unless lo or hi is given")
     small = [a for a in alphas if a < 1.0]
 
-    def notes(labeled):
+    def notes(columns):
         dominated = [a for a in small if app8_bound(a, 1) < (math.pi / 2.0) ** (a + 1.0) / (a + 1.0)]
         return [
             "m=1 upper bound vs (pi/2)^(a+1)/(a+1) on (0,1): recorded, not asserted "
@@ -405,7 +473,7 @@ def _suite_app8(lo, hi, points, m) -> _Plan:
 
 def _suite_app9(lo, hi, points, m) -> _Plan:
     _fixed_order("app9", m)
-    n, i_lo, i_hi = points or 1000, _or(lo, 0.241), _or(hi, 0.5)
+    n, i_lo, i_hi = _or(points, 1000), _or(lo, 0.241), _or(hi, 0.5)
     i1, j1, p1 = f"K1 >= A on [{i_lo:g},{i_hi:g})", "L1 <= D on (0.5,0.526]", "L1 <= E on [1.562,100]"
     checks = [
         _Check(_app9_bracket_margins, "x", uniform_grid(0.001, 0.999, n)),
@@ -417,9 +485,9 @@ def _suite_app9(lo, hi, points, m) -> _Plan:
         _Check(_app9_refinement_margins, "x", uniform_grid(1.562, 100.0, n), {"which": p1}),
     ]
 
-    def notes(labeled):
+    def notes(columns):
         # a closed-form counterexample of each claim that failed, taken on its grid's interval
-        failed = {label for label, v in labeled if not v > 0.0}
+        failed = {label for label, ms in columns.items() if not all(v > 0.0 for v in ms)}
         cited = []
         if i1 in failed and i_lo <= 0.3 < i_hi:
             cited.append(f"K1(0.3) = {app9_refined(0.3, 1)[0]:.6f} < A(0.3) = {app9_alzer(0.3)[0]:.6f}")
@@ -432,9 +500,9 @@ def _suite_app9(lo, hi, points, m) -> _Plan:
 def _suite_app10(lo, hi, points, m) -> _Plan:
     _fixed_order("app10", m)
     return [
-        _Check(_app10_margins, "x", uniform_grid(_or(lo, 0.05), _or(hi, 50.0), points or 1000)),
+        _Check(_app10_margins, "x", uniform_grid(_or(lo, 0.05), _or(hi, 50.0), _or(points, 1000))),
         _Check(_app10_improvement_margins, "x", uniform_grid(1e-4, 0.5, 10000, include_hi=False)),
-        _Check(_app10_remark_margins, "x", uniform_grid(0.144, 0.5, points or 1000, include_hi=False)),
+        _Check(_app10_remark_margins, "x", uniform_grid(0.144, 0.5, _or(points, 1000), include_hi=False)),
     ], lambda _: []
 
 
@@ -443,17 +511,14 @@ _SUITES = {"app1": _suite_app1, "app5": _suite_app5, "app6": _suite_app6, "app7"
 SUITES = tuple(_SUITES)
 
 
-def _reduce(suite: str, grid_desc: str, labeled: list[tuple[str, float]], notes: list[str]) -> BoundReport:
-    by_label: dict[str, list[float]] = {}
-    for label, mgn in labeled:
-        by_label.setdefault(label, []).append(mgn)
+def _reduce(suite: str, grid_desc: str, columns: _Columns, notes: list[str]) -> BoundReport:
     violations = 0
-    for label, ms in by_label.items():
+    for label, ms in columns.items():
         bad = sum(1 for v in ms if not v > 0.0)  # margin <= 0 or NaN
         if bad:
             notes.append(f"{label}: {bad}/{len(ms)} points violate (worst margin {min(ms):.6g})")
         violations += bad
-    worst = min((mgn for _, mgn in labeled), default=math.inf)
+    worst = min(chain.from_iterable(columns.values()), default=math.inf)
     return BoundReport(suite, grid_desc, violations, worst, violations == 0, tuple(notes))
 
 
@@ -463,7 +528,10 @@ def verify_suite(
     """Run one suite's assertions over its grid and report the outcome.
 
     ``lo``/``hi``/``points`` override the suite's primary grid (for app1 and
-    app7 they are integer ranges); ``m`` overrides the truncation order used
+    app7 they are integer ranges, which ``points`` cannot reach: it is a
+    ``DomainError`` there, as it is for app8 without ``lo`` or ``hi``);
+    ``lo`` and ``hi`` must be finite, and a grid may hold at most
+    ``MAX_GRID_POINTS`` points.  ``m`` overrides the truncation order used
     by the bound being tested in app6, app7 and app8, and is a
     ``DomainError`` for the suites whose claims fix their order (app1, app5,
     app9, app10).  Claims are asserted exactly as stated; see
@@ -472,6 +540,12 @@ def verify_suite(
     """
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    for name, value in (("lo", lo), ("hi", hi)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     checks, notes = _SUITES[suite](lo, hi, points, m)
-    labeled = [pair for c in checks for v in c.grid for pair in c.margins(v, **c.kwargs)]
-    return _reduce(suite, "; ".join(c.describe() for c in checks), labeled, notes(labeled))
+    columns: _Columns = {}
+    for c in checks:
+        for label, ms in c.margins(c.grid, **c.kwargs).items():
+            columns.setdefault(label, []).extend(ms)
+    return _reduce(suite, "; ".join(c.describe() for c in checks), columns, notes(columns))

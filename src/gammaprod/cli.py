@@ -9,6 +9,7 @@ digits and no locale dependence, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -107,7 +108,10 @@ _POLICY_FLAGS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The whole argparse tree, built at the first ``run`` and reused: parsing
+    leaves nothing behind in it, so every later call parses alike."""
     top = _Parser(prog="gammaprod", description=__doc__)
     sub = top.add_subparsers(dest="verb", metavar="|".join(_HANDLERS))
 

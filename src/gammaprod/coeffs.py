@@ -64,6 +64,18 @@ def _validate(x: float, b: float, N: int) -> None:
         raise DomainError(f"N must be >= 1, got {N}")
 
 
+def _range_error(x: float, N: int) -> DomainError:
+    return DomainError(f"g_1..g_{N} exceed the double range at x = {x!r}")
+
+
+def _finite(g: list[float], x: float, N: int) -> tuple[float, ...]:
+    """g as a tuple; a coefficient beyond the double range (g_n grows like
+    x^n) is a DomainError, not an inf or a NaN."""
+    if not all(map(math.isfinite, g)):
+        raise _range_error(x, N)
+    return tuple(g)
+
+
 def g_sequence(x: float, b: float, N: int) -> CoeffTable:
     """g_1..g_N by the quadratic recursion, seeded with g_1 = b(1-b-x).
 
@@ -75,13 +87,16 @@ def g_sequence(x: float, b: float, N: int) -> CoeffTable:
         return CoeffTable(x, b, N, (0.0,) * N)
     g1 = b * (1.0 - b - x)
     g = [g1]
-    for n in range(1, N):
-        # convolution terms carry cancellations; sum them exactly
-        terms = [n * (n + 1.0 - x - g1) * g[n - 1]]
-        for k in range(0, n - 1):
-            terms.append((k + 1) * g[k] * ((n - k - 1) * g[n - k - 2] - (n - k) * g[n - k - 1]))
-        g.append(math.fsum(terms) / ((n + 1.0) * (n + 1.0)))
-    return CoeffTable(x, b, N, tuple(g))
+    try:
+        for n in range(1, N):
+            # convolution terms carry cancellations; sum them exactly
+            terms = [n * (n + 1.0 - x - g1) * g[n - 1]]
+            for k in range(0, n - 1):
+                terms.append((k + 1) * g[k] * ((n - k - 1) * g[n - k - 2] - (n - k) * g[n - k - 1]))
+            g.append(math.fsum(terms) / ((n + 1.0) * (n + 1.0)))
+    except (OverflowError, ValueError):  # fsum meets an overflow, or inf - inf
+        raise _range_error(x, N) from None
+    return CoeffTable(x, b, N, _finite(g, x, N))
 
 
 def g_sequence_oracle(x: float, b: float, N: int) -> CoeffTable:
@@ -97,12 +112,15 @@ def g_sequence_oracle(x: float, b: float, N: int) -> CoeffTable:
     for n in range(1, N + 1):
         c.append(c[n - 1] * (a + n - 1.0) * (b + n - 1.0) / (n * n))
     g: list[float] = []
-    for n in range(1, N + 1):
-        terms = [n * c[n]]
-        for j in range(1, n):
-            terms.append(-j * g[j - 1] * c[n - j])
-        g.append(math.fsum(terms) / n)
-    return CoeffTable(x, b, N, tuple(g))
+    try:
+        for n in range(1, N + 1):
+            terms = [n * c[n]]
+            for j in range(1, n):
+                terms.append(-j * g[j - 1] * c[n - j])
+            g.append(math.fsum(terms) / n)
+    except (OverflowError, ValueError):  # fsum meets an overflow, or inf - inf
+        raise _range_error(x, N) from None
+    return CoeffTable(x, b, N, _finite(g, x, N))
 
 
 def g_sequence_exact(x: Fraction, b: Fraction, N: int) -> list[Fraction]:

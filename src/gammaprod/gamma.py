@@ -24,6 +24,7 @@ from .errors import DomainError
 from .jointfactor import (
     JointFactorSpec,
     TruncationPolicy,
+    _exp,
     joint_factor,
     log_partial_product,  # noqa: F401 -- not called here; perfbench/test_perfbench.py reads gamma.log_partial_product
     shifted_product,
@@ -143,7 +144,7 @@ def gamma_inv_p_pow(p: int, policy: TruncationPolicy = TruncationPolicy()) -> fl
         raise DomainError(f"p must be >= 3, got {p}")
     log_val = (p - 1) * math.log(_TWO_PI) - math.log(p)
     log_val -= _factor_log(p, policy).v_sum
-    return math.exp(log_val)
+    return _exp(log_val)
 
 
 @lru_cache(maxsize=1)
@@ -185,7 +186,7 @@ def gamma_duplication(x: float, policy: TruncationPolicy = TruncationPolicy()) -
         raise DomainError(f"x must be positive, got {x}")
     log_f = joint_factor(JointFactorSpec(x, 0.5), policy).log_value
     log_val = (2.0 * x - 1.0) * math.log(2.0) - math.log(math.pi) + log_f + 2.0 * _log_gamma_anchor(x, policy)
-    return math.exp(log_val)
+    return _exp(log_val)
 
 
 def gamma_negative(arg: RationalArgument, policy: TruncationPolicy = TruncationPolicy()) -> float:

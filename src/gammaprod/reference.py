@@ -45,6 +45,7 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C12, _C13, _C14 = _LANCZOS_C
 
 # Bernoulli-number driven asymptotic coefficients: B_{2k}/(2k) for psi,
 # B_{2k} for psi'.
@@ -87,9 +88,10 @@ def ref_log_gamma(x: float) -> float:
 
     Below 1/2, x - 1 would round away the low bits of x (all of them below
     ~1e-16), so there ln Gamma(x) = ln Gamma(1+x) - ln x with 1+x's offset
-    taken as x itself.
+    taken as x itself.  The Lanczos sum is written out term by term, added
+    left to right exactly as a loop over the coefficients would.
     """
-    if x <= 0.0 or math.isnan(x):
+    if not x > 0.0:  # x <= 0 or NaN
         raise DomainError(f"ref_log_gamma requires x > 0, got {x}")
     if x < 0.5:
         w = x
@@ -98,15 +100,18 @@ def ref_log_gamma(x: float) -> float:
         w = x - 1.0
         log_shift = 0.0
     base = w + _LANCZOS_G + 0.5
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (w + i)
+    s = (_C0 + _C1 / (w + 1.0) + _C2 / (w + 2.0) + _C3 / (w + 3.0) + _C4 / (w + 4.0) + _C5 / (w + 5.0)
+         + _C6 / (w + 6.0) + _C7 / (w + 7.0) + _C8 / (w + 8.0) + _C9 / (w + 9.0) + _C10 / (w + 10.0)
+         + _C11 / (w + 11.0) + _C12 / (w + 12.0) + _C13 / (w + 13.0) + _C14 / (w + 14.0))
     return _LN_SQRT_2PI + (w + 0.5) * math.log(base) - base + math.log(s) - log_shift
 
 
 def ref_gamma(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    return math.exp(ref_log_gamma(x))
+    """Gamma(x) for x > 0; a value beyond the double range is a DomainError."""
+    try:
+        return math.exp(ref_log_gamma(x))
+    except OverflowError:
+        raise DomainError(f"Gamma({x!r}) exceeds the double range") from None
 
 
 def ref_digamma(x: float) -> float:

@@ -7,7 +7,10 @@ import pytest
 
 from conftest import adaptive_simpson, app9_i1_crossing, grid
 from gammaprod.bounds import (
+    MAX_GRID_POINTS,
     AlzerConstants,
+    _stirling_mu,
+    _stirling_v,
     app1_bounds,
     app5_upper,
     app6_beta_bound,
@@ -408,3 +411,107 @@ def test_uniform_grid_endpoints():
     assert uniform_grid(0.0, 1.0, 5, include_hi=False)[-1] == 0.75
     with pytest.raises(DomainError):
         uniform_grid(1.0, 0.0, 5)
+
+
+# Every default suite's report, pinned bit for bit: grid, violation count,
+# notes (they carry the per-label counts of each violated claim) and the worst
+# margin's exact bits, so that a change to how the grids are evaluated cannot
+# move a single margin unnoticed.
+_DEFAULT_REPORTS = {
+    "app1": (0, "0x1.4966fad991fe0p-4", "app1: p in [3, 12] x10",
+             ("positive-argument bound direction verified: ['lower'] (upper-bound reading fails)",)),
+    "app5": (0, "0x1.bb5544b4a4000p-12", "app5: alpha in [0.001, 0.999] x1000", ()),
+    "app6": (0, "0x1.674c59d316738p-4", "app6: y in [0.1, 0.9] x9, xs = (0.25, 0.5, 2.0, 4.0), ms = (1, 2, 5)", ()),
+    "app7": (0, "0x1.12e0be826d695p-30", "app7: n in [1, 50] x50, s = 5, m = 5, eq_tol = 1e-09",
+             ("n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)",)),
+    "app8": (0, "0x1.86abb462a0a58p-4", "app8: alpha in {0.25, 0.5, 2, 3.5}, m = 1",
+             ("m=1 upper bound vs (pi/2)^(a+1)/(a+1) on (0,1): recorded, not asserted "
+              "(dominates at 0/2 sampled alphas; fails for a < ~0.535)",)),
+    "app9": (1681, "-0x1.979c059681172p+657",
+             "app9_bracket: x in [0.001, 0.999] x1000; app9_bracket: x in [1.0991, 100] x999; "
+             "app9_gamma_side: x in [0.001, 0.499] x1000; app9_gamma_side: x in [0.501, 100] x1000; "
+             "app9_refinement: x in [0.241, 0.499741] x999, which = 'K1 >= A on [0.241,0.5)'; "
+             "app9_refinement: x in [0.500026, 0.526] x999, which = 'L1 <= D on (0.5,0.526]'; "
+             "app9_refinement: x in [1.562, 100] x1000, which = 'L1 <= E on [1.562,100]'",
+             ("refinement counterexamples are genuine, not numerical: "
+              "K1(0.3) = 2.739341 < A(0.3) = 2.861273; L1(1.562) = 1.661555 > E(1.562) = 0.993237",
+              "K1 >= A on [0.241,0.5): 681/999 points violate (worst margin -0.24167)",
+              "L1 <= E on [1.562,100]: 1000/1000 points violate (worst margin -9.52163e+197)")),
+    "app10": (0, "0x1.7dbb8c9830000p-26",
+              "app10: x in [0.05, 50] x1000; app10_improvement: x in [0.0001, 0.49995] x9999; "
+              "app10_remark: x in [0.144, 0.499644] x999", ()),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_DEFAULT_REPORTS))
+def test_default_suite_reports_are_pinned(suite):
+    violations, worst_hex, grid_desc, notes = _DEFAULT_REPORTS[suite]
+    rep = verify_suite(suite)
+    assert (rep.violations, rep.grid, rep.notes) == (violations, grid_desc, notes)
+    assert rep.worst_margin.hex() == worst_hex
+    assert rep.holds is (violations == 0)
+
+
+@pytest.mark.parametrize("suite, kw", [
+    ("app1", {"points": 5}),
+    ("app7", {"points": 5}),
+    ("app7", {"lo": 2, "hi": 9, "points": 5}),
+    ("app8", {"points": 5}),
+])
+def test_points_a_grid_cannot_take_is_rejected(suite, kw):
+    with pytest.raises(DomainError, match="points"):
+        verify_suite(suite, **kw)
+
+
+def test_points_moves_app8_once_lo_or_hi_is_given():
+    assert verify_suite("app8", lo=0.1, points=5).grid != verify_suite("app8", lo=0.1).grid
+
+
+@pytest.mark.parametrize("suite", ["app5", "app6", "app9", "app10"])
+@pytest.mark.parametrize("points", [0, -3])
+def test_points_below_one_is_rejected(suite, points):
+    with pytest.raises(DomainError, match="points must be >= 1"):
+        verify_suite(suite, points=points)
+
+
+@pytest.mark.parametrize("suite", ["app1", "app5", "app6", "app7", "app8", "app9", "app10"])
+@pytest.mark.parametrize("bound", ["lo", "hi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_grid_ends_are_rejected(suite, bound, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        verify_suite(suite, **{bound: value})
+
+
+@pytest.mark.parametrize("suite, kw", [
+    ("app5", {"points": MAX_GRID_POINTS + 1}),
+    ("app9", {"points": 10**9}),
+    ("app1", {"hi": 1e9}),
+    ("app7", {"lo": -1e300}),
+])
+def test_grids_beyond_the_cap_are_refused_before_any_point(suite, kw):
+    with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
+        verify_suite(suite, **kw)
+
+
+def test_overflowing_bounds_are_domain_errors():
+    # 1/x^3 and the power-law bounds leave the float range; both were OverflowError tracebacks
+    with pytest.raises(DomainError):
+        verify_suite("app10", lo=1e-300, points=5)
+    with pytest.raises(DomainError):
+        verify_suite("app9", hi=1000.0)
+    with pytest.raises(DomainError):  # Gamma(1e-320) ~ 1e320
+        verify_suite("app5", lo=1e-320, hi=1e-300)
+    with pytest.raises(DomainError):  # ln Gamma(x) and x ln x overflow; 1 + 2x overflows
+        verify_suite("app10", hi=5e307)
+    with pytest.raises(DomainError):
+        app10_truncate_rhs(1e308)
+    assert schuster_bounds(1e-100)[0] < 0.0
+
+
+def test_app10_stirling_halves_are_the_decomposition():
+    for x in (1e-3, 0.3, 1.0, 7.5, 1e3):
+        dec = app10_stirling(x)
+        assert (dec.mu, dec.v) == (_stirling_mu(x), _stirling_v(x))
+    for half in (_stirling_mu, _stirling_v):
+        with pytest.raises(DomainError):
+            half(0.0)

@@ -502,3 +502,23 @@ def test_every_value_verb_carries_the_common_keys(capsys):
                 if key in ("m", "tail"):
                     continue
                 assert key in payload, (argv, key)
+
+
+def test_a_bad_command_line_leaves_no_state_behind(capsys):
+    # the parser is built once per process; a failed parse must not leak into the next call
+    import os
+    import subprocess
+    import sys
+
+    import gammaprod
+
+    good = ["bounds", "--suite", "app8", "--format", "csv"]
+    src = os.path.dirname(os.path.dirname(gammaprod.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from gammaprod.cli import main; sys.argv[1:] = %r; main()" % good],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    for bad in (["bounds", "--suite", "app11"], ["gamma", "--q", "1"], ["bounds", "--suite", "app8", "--lo", "x"]):
+        assert invoke(capsys, *bad)[0] == EXIT_USAGE
+        code, out, err = invoke(capsys, *good)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -87,6 +87,16 @@ def test_gamma_inv_p_pow():
         gamma_inv_p_pow(2)
 
 
+def test_values_beyond_the_double_range_are_domain_errors():
+    # Gamma(170) ~ 4.3e304 is the last Gamma(2x) below the range; [Gamma(1/p)]^p ~ p^p passes it at p = 144
+    assert gamma_duplication(85.0) == pytest.approx(ref_gamma(170.0), rel=1e-12)
+    assert gamma_inv_p_pow(143) == pytest.approx(math.exp(143 * ref_log_gamma(1.0 / 143.0)), rel=1e-12)
+    with pytest.raises(DomainError):
+        gamma_duplication(86.0)
+    with pytest.raises(DomainError):
+        gamma_inv_p_pow(144)
+
+
 def test_reflection_invariant():
     for q, p in reduced_pairs(12):
         lhs = gamma_rational(RationalArgument(q, p)).value * gamma_rational(RationalArgument(p - q, p)).value
