@@ -33,7 +33,8 @@ from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 _SQRT_PI = math.sqrt(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
 
-# Points per grid above which a suite is refused before any point is evaluated.
+# Points per grid above which a suite is refused before any point is evaluated;
+# app7, whose bounds cost O(m) per point, is held to as many points times m.
 MAX_GRID_POINTS = 10**6
 
 
@@ -245,12 +246,12 @@ def app10_stirling(x: float) -> StirlingDecomposition:
 def schuster_bounds(x: float) -> tuple[float, float]:
     """(-1/24)[1/x + 1/(120 x^3)] <= v(x) <= (-1/24)[1/x - 1/(8 x^3)]."""
     inv = 1.0 / x
+    if math.isinf(inv):  # subnormal x: inf ** 3 is inf and raises nothing
+        raise DomainError(f"1/x exceeds the double range at x = {x!r}")
     try:
         cube = inv ** 3
     except OverflowError:
-        cube = math.inf
-    if math.isinf(cube):
-        raise DomainError(f"1/x^3 exceeds the double range at x = {x!r}")
+        raise DomainError(f"1/x^3 exceeds the double range at x = {x!r}") from None
     return (-1.0 / 24.0) * (inv + cube / 120.0), (-1.0 / 24.0) * (inv - cube / 8.0)
 
 
@@ -318,16 +319,17 @@ def _app7_margins(ns: Sequence[int], s: int, m: int, eq_tol: float) -> _Columns:
     )
 
 def _app8_margins(alphas: Sequence[float], m: int) -> _Columns:
-    out = {}
+    # alphas that print alike under :g share a label, so margins are appended
+    out: _Columns = {}
     for alpha in alphas:
         i_alpha = app8_wallis(alpha)
         bound = app8_bound(alpha, m)
         if alpha < 1.0:
-            out[f"I < bound (alpha={alpha:g})"] = [bound - i_alpha]
+            out.setdefault(f"I < bound (alpha={alpha:g})", []).append(bound - i_alpha)
         elif alpha > 1.0:
-            out[f"I > bound (alpha={alpha:g})"] = [i_alpha - bound]
+            out.setdefault(f"I > bound (alpha={alpha:g})", []).append(i_alpha - bound)
             trig_lo = math.pi / (2.0 * (alpha + 1.0))
-            out[f"bound > pi/(2(a+1)) (alpha={alpha:g})"] = [app8_bound(alpha, 1) - trig_lo]
+            out.setdefault(f"bound > pi/(2(a+1)) (alpha={alpha:g})", []).append(app8_bound(alpha, 1) - trig_lo)
     return out
 
 def _app9_bracket_margins(xs: Sequence[float]) -> _Columns:
@@ -451,6 +453,8 @@ def _suite_app6(lo, hi, points, m) -> _Plan:
 def _suite_app7(lo, hi, points, m) -> _Plan:
     _fixed_points("app7", points, "checks every integer n in [lo, hi]")
     ns, sm = _int_grid(lo, hi, 1, 50), _or(m, 5)
+    if len(ns) * sm > MAX_GRID_POINTS:
+        raise DomainError(f"{len(ns)} points at m={sm} exceed {MAX_GRID_POINTS} point-orders")
     eq = "n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)"
     return [_Check(_app7_margins, "n", ns, {"s": sm, "m": sm, "eq_tol": 1e-9})], lambda _: [eq] if 1 in ns else []
 
@@ -531,7 +535,8 @@ def verify_suite(
     app7 they are integer ranges, which ``points`` cannot reach: it is a
     ``DomainError`` there, as it is for app8 without ``lo`` or ``hi``);
     ``lo`` and ``hi`` must be finite, and a grid may hold at most
-    ``MAX_GRID_POINTS`` points.  ``m`` overrides the truncation order used
+    ``MAX_GRID_POINTS`` points (app7 at most that many points times its
+    ``m``).  ``m`` overrides the truncation order used
     by the bound being tested in app6, app7 and app8, and is a
     ``DomainError`` for the suites whose claims fix their order (app1, app5,
     app9, app10).  Claims are asserted exactly as stated; see

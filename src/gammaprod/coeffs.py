@@ -64,15 +64,11 @@ def _validate(x: float, b: float, N: int) -> None:
         raise DomainError(f"N must be >= 1, got {N}")
 
 
-def _range_error(x: float, N: int) -> DomainError:
-    return DomainError(f"g_1..g_{N} exceed the double range at x = {x!r}")
-
-
 def _finite(g: list[float], x: float, N: int) -> tuple[float, ...]:
     """g as a tuple; a coefficient beyond the double range (g_n grows like
     x^n) is a DomainError, not an inf or a NaN."""
     if not all(map(math.isfinite, g)):
-        raise _range_error(x, N)
+        raise DomainError(f"g_1..g_{N} exceed the double range at x = {x!r}")
     return tuple(g)
 
 
@@ -95,7 +91,7 @@ def g_sequence(x: float, b: float, N: int) -> CoeffTable:
                 terms.append((k + 1) * g[k] * ((n - k - 1) * g[n - k - 2] - (n - k) * g[n - k - 1]))
             g.append(math.fsum(terms) / ((n + 1.0) * (n + 1.0)))
     except (OverflowError, ValueError):  # fsum meets an overflow, or inf - inf
-        raise _range_error(x, N) from None
+        g.append(math.inf)  # rejected by _finite below
     return CoeffTable(x, b, N, _finite(g, x, N))
 
 
@@ -119,7 +115,7 @@ def g_sequence_oracle(x: float, b: float, N: int) -> CoeffTable:
                 terms.append(-j * g[j - 1] * c[n - j])
             g.append(math.fsum(terms) / n)
     except (OverflowError, ValueError):  # fsum meets an overflow, or inf - inf
-        raise _range_error(x, N) from None
+        g.append(math.inf)  # rejected by _finite below
     return CoeffTable(x, b, N, _finite(g, x, N))
 
 

@@ -9,6 +9,7 @@ from conftest import adaptive_simpson, app9_i1_crossing, grid
 from gammaprod.bounds import (
     MAX_GRID_POINTS,
     AlzerConstants,
+    _app8_margins,
     _stirling_mu,
     _stirling_v,
     app1_bounds,
@@ -493,6 +494,26 @@ def test_grids_beyond_the_cap_are_refused_before_any_point(suite, kw):
         verify_suite(suite, **kw)
 
 
+def test_app8_alphas_that_print_alike_keep_every_margin():
+    # the five alphas all print as 2 under :g, so they share each label
+    columns = _app8_margins(uniform_grid(2.0, 2.000001, 5), 1)
+    assert [len(ms) for ms in columns.values()] == [5, 5]
+    # every margin counts: the worst one is the minimum over all five alphas, bit for bit
+    rep = verify_suite("app8", lo=2.0, hi=2.000001, points=5)
+    assert (rep.violations, rep.grid, rep.notes) == (0, "app8: alpha in {2, 2, 2, 2, 2}, m = 1", ())
+    assert rep.worst_margin.hex() == "0x1.e652ff776be18p-4"
+    rep = verify_suite("app8", lo=2.0, hi=2.000001, points=7, m=40)
+    assert rep.worst_margin.hex() == "0x1.3cbda83c64f80p-8"
+
+
+def test_app7_order_counts_against_the_cap():
+    assert verify_suite("app7", hi=20, m=MAX_GRID_POINTS // 20).violations == 0
+    with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
+        verify_suite("app7", m=10**9)
+    with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
+        verify_suite("app7", hi=MAX_GRID_POINTS)  # at the default m = 5
+
+
 def test_overflowing_bounds_are_domain_errors():
     # 1/x^3 and the power-law bounds leave the float range; both were OverflowError tracebacks
     with pytest.raises(DomainError):
@@ -505,6 +526,9 @@ def test_overflowing_bounds_are_domain_errors():
         verify_suite("app10", hi=5e307)
     with pytest.raises(DomainError):
         app10_truncate_rhs(1e308)
+    for x in (1e-110, 5e-324):  # 1/x^3 overflows; 1/x itself is inf
+        with pytest.raises(DomainError):
+            schuster_bounds(x)
     assert schuster_bounds(1e-100)[0] < 0.0
 
 

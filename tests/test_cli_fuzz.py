@@ -1,7 +1,8 @@
 """Property tests of the CLI's exit-code contract: any float arguments, finite
-or not, any head length up to 10^9, any bound suite over any grid ends and
-grid sizes up to 10^9, end in a documented exit code, with no traceback and
-no NaN in the JSON; a float reads the same after ``--f `` as after ``--f=``."""
+or not, any head length up to 10^9, any bound suite over any grid ends, grid
+sizes and truncation orders up to 10^9, end in a documented exit code, with no
+traceback and no NaN in the JSON; a float reads the same after ``--f `` as
+after ``--f=``."""
 
 import contextlib
 import io
@@ -30,8 +31,9 @@ tols = st.one_of(floats, st.floats(min_value=1e-300, max_value=0.9))
 grid_points = st.one_of(st.integers(min_value=-5, max_value=3000), st.just(10**9))
 # grid ends: any float, and often one inside a suite's own range
 grid_ends = st.one_of(floats, st.floats(min_value=-2.0, max_value=120.0))
-# app7's bounds cost O(m) per point, so m stays small here
-suite_orders = st.integers(min_value=-3, max_value=200)
+# app6's and app8's bounds cost O(1) in m and app7's O(m) per point, so app7
+# holds points times m to the grid cap: m up to 10^9 is refused or quick
+suite_orders = st.one_of(st.integers(min_value=-3, max_value=200), st.integers(min_value=-3, max_value=10**9))
 # often ascending and positive, else anything; digamma's raw series costs O(max m)
 m_lists = st.one_of(
     st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=4, unique=True).map(sorted),

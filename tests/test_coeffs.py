@@ -161,6 +161,14 @@ def test_domain_errors(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("fn", [g_sequence, g_sequence_oracle])
+@pytest.mark.parametrize("x, N", [(1e300, 2), (1e300, 5), (1e100, 4), (1e60, 12), (1e30, 40)])
+def test_coefficients_beyond_the_double_range_are_domain_errors(fn, x, N):
+    # g_n grows like x^n: an inf coefficient, or an inf - inf inside fsum
+    with pytest.raises(DomainError, match="exceed the double range"):
+        fn(x, 0.5, N)
+
+
 def test_h_closed_domain():
     with pytest.raises(DomainError):
         h_closed(0, 0.5)
