@@ -33,8 +33,7 @@ from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 _SQRT_PI = math.sqrt(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
 
-# Points per grid above which a suite is refused before any point is evaluated;
-# app7, whose bounds cost O(m) per point, is held to as many points times m.
+# Points per grid above which a suite is refused before any point is evaluated.
 MAX_GRID_POINTS = 10**6
 
 
@@ -157,21 +156,14 @@ def app7_ball_ratio(n: int, policy: TruncationPolicy = TruncationPolicy()) -> fl
 
 
 def app7_bounds(n: int, s: int, m: int) -> tuple[float, float]:
-    """(lower, upper) for O_{n-1}/O_n.
-
-    lower = f_s((n+1)/2, 1/2) / pi  (that truncate under-estimates), written
-    out as (1/pi) prod_{k<=s} 2k (n+2k-1) / [(2k-1)(n+2k)];
-    upper = (n/2) prod_{k<=m} [(2k-1)/2k] [(2k+n-1)/(2k+n-2)], with equality
-    only at n = 1.
+    """(lower, upper) for O_{n-1}/O_n: lower = f_s((n+1)/2, 1/2) / pi (that
+    truncate under-estimates), upper = (n/2) / f_m(n/2, 1/2), with equality
+    only at n = 1, where every factor of f(1/2, 1/2) is 1.  O(1) in s and m.
     """
     if n < 1 or s < 1 or m < 1:
         raise DomainError("n, s, m must all be >= 1")
-    lower = 1.0 / math.pi
-    for k in range(1, s + 1):
-        lower *= 2.0 * k * (n + 2.0 * k - 1.0) / ((2.0 * k - 1.0) * (n + 2.0 * k))
-    upper = 0.5 * n
-    for k in range(1, m + 1):
-        upper *= (2.0 * k - 1.0) / (2.0 * k) * (2.0 * k + n - 1.0) / (2.0 * k + n - 2.0)
+    lower = truncate(JointFactorSpec((n + 1.0) / 2.0, 0.5), s) / math.pi
+    upper = 0.5 * n / truncate(JointFactorSpec(n / 2.0, 0.5), m)
     return lower, upper
 
 
@@ -453,8 +445,6 @@ def _suite_app6(lo, hi, points, m) -> _Plan:
 def _suite_app7(lo, hi, points, m) -> _Plan:
     _fixed_points("app7", points, "checks every integer n in [lo, hi]")
     ns, sm = _int_grid(lo, hi, 1, 50), _or(m, 5)
-    if len(ns) * sm > MAX_GRID_POINTS:
-        raise DomainError(f"{len(ns)} points at m={sm} exceed {MAX_GRID_POINTS} point-orders")
     eq = "n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)"
     return [_Check(_app7_margins, "n", ns, {"s": sm, "m": sm, "eq_tol": 1e-9})], lambda _: [eq] if 1 in ns else []
 
@@ -534,14 +524,15 @@ def verify_suite(
     ``lo``/``hi``/``points`` override the suite's primary grid (for app1 and
     app7 they are integer ranges, which ``points`` cannot reach: it is a
     ``DomainError`` there, as it is for app8 without ``lo`` or ``hi``);
-    ``lo`` and ``hi`` must be finite, and a grid may hold at most
-    ``MAX_GRID_POINTS`` points (app7 at most that many points times its
-    ``m``).  ``m`` overrides the truncation order used
-    by the bound being tested in app6, app7 and app8, and is a
+    ``lo`` and ``hi`` must be finite, and a grid must hold at least one and
+    at most ``MAX_GRID_POINTS`` points; a check whose grid is empty is a
+    ``DomainError`` naming it, raised before any point is evaluated.  ``m``
+    overrides the truncation order used by the bound being tested in app6,
+    app7 and app8, at O(1) cost per point whatever m, and is a
     ``DomainError`` for the suites whose claims fix their order (app1, app5,
-    app9, app10).  Claims are asserted exactly as stated; see
-    the module docstring for the sign convention.  ``grid`` describes the
-    grids as run, check by check.
+    app9, app10).  Claims are asserted exactly as stated; see the module
+    docstring for the sign convention.  ``grid`` describes the grids as
+    run, check by check.
     """
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")
@@ -549,6 +540,9 @@ def verify_suite(
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
     checks, notes = _SUITES[suite](lo, hi, points, m)
+    for i, c in enumerate(checks, 1):
+        if not c.grid:
+            raise DomainError(f"suite {suite}, check {i} of {len(checks)} ({c.describe()}): the grid is empty")
     columns: _Columns = {}
     for c in checks:
         for label, ms in c.margins(c.grid, **c.kwargs).items():

@@ -55,13 +55,18 @@ class DerivTable:
             raise DomainError("coefficient count does not match N")
 
 
+# Both routes cost O(N^2): N = 2000 takes about a second for the pair, so
+# longer sequences are refused.
+N_MAX = 2000
+
+
 def _validate(x: float, b: float, N: int) -> None:
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     if not 0.0 <= b < 1.0:
         raise DomainError(f"b must lie in [0, 1), got {b}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    if not 1 <= N <= N_MAX:
+        raise DomainError(f"N must lie in [1, {N_MAX}], got {N}")
 
 
 def _finite(g: list[float], x: float, N: int) -> tuple[float, ...]:

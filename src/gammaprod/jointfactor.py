@@ -3,9 +3,9 @@
 Two interchangeable estimators are exposed:
 
 * ``joint_factor`` evaluates the infinite product
-  f(x, b) = prod_{k>=1} k (x+k-1) / [(k-b)(x+k+b-1)], truncated after m
-  factors and, depending on the policy, completed by the exact tail,
-  bracketed by rigorous bounds, or given the order a tolerance needs.
+  f(x, b) = prod_{k>=1} k (x+k-1) / [(k-b)(x+k+b-1)]: its m-factor
+  truncate in fixed mode, and in every tail mode the whole product,
+  bracketed by rigorous bounds or with the order a tolerance needs.
 * ``joint_factor_series`` evaluates exp(-sum g_n(x, b)) from the recursion
   coefficients in :mod:`gammaprod.coeffs`.
 
@@ -25,11 +25,14 @@ head of about ten factors gives full double precision for every x > 0.
 The same tails give any head in closed form: :func:`log_head` sums at most
 ten factors and takes factors 11..m as the difference of the tails after 10
 and after m, so an m-factor truncate costs the same for m = 10 and m = 10^9
-and still equals f_m.  The joint factor's first factor x / [(1-b)(x+b)] is
-taken by its own log, which stays exact as x -> 0.  The Beta product and the
-trigonometric product identities share the factor shape: :func:`shifted_product`
-takes their k = 1 factor from its exact linear terms and their other factors,
-with closed-form roots, through the same head and tail.
+and still equals f_m; with the tail it is the whole product, min(m, 10)
+factors and the exact tail after them.  So every tail mode evaluates the
+whole product whatever m is; m sets only ``m_used``, the bracket's truncate
+and adaptive mode's search.  The joint factor's first factor
+x / [(1-b)(x+b)] is taken by its own log, exact as x -> 0.  Beta and the
+trigonometric products share the factor shape: :func:`shifted_product`
+takes their k = 1 factor from its exact linear terms and the rest, with
+closed-form roots, through the same kernel.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ _DEFAULT_M = 10
 # Stirling coefficients B_2j / (2j (2j-1)), j = 1..8, of
 # ln Gamma(z) ~ (z-1/2) ln z - z + ln(2 pi)/2 + sum_j B_2j / (2j (2j-1)) z^(1-2j).
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_S1, _S2, _S3, _S4, _S5, _S6, _S7, _S8 = _STIRLING
 # |B_18| / (18 * 17): for real z > 0 the remainder of that series is
 # smaller than the first omitted term, |B_18| / (18 * 17) z^-17.
 _STIRLING_NEXT = 43867 / 244188
@@ -83,9 +87,10 @@ class JointFactorSpec:
 class TruncationPolicy:
     """How to truncate the product: mode, head length m, adaptive tolerance.
 
-    ``fixed`` keeps the raw m-factor truncate f_m, ``tail_corrected`` adds
-    the exact tail, ``bracket`` adds rigorous bounds too.  Every mode costs
-    O(min(m, 10)) whatever m: see :func:`log_head`.  ``adaptive`` takes
+    ``fixed`` keeps the raw m-factor truncate f_m.  The tail modes evaluate
+    the whole product whatever m is: m sets ``m_used``, the truncate f_m
+    from which ``bracket`` adds rigorous bounds, and adaptive's search.
+    Every mode costs O(min(m, 10)): see :func:`log_head`.  ``adaptive`` takes
     the first head of max(m, 16), 4 max(m, 16), ... (capped at ``m_max``)
     whose tail remainder bound is at most ``tol``: an absolute error in
     ln f, which is a relative error in f.
@@ -152,10 +157,7 @@ def tail_sum_inverse_sq(u: float, v: float, m: int) -> float:
 def _stirling_sum(z: float) -> float:
     """sum_{j=1..8} B_2j / (2j (2j-1)) z^(1-2j), by Horner in 1/z^2."""
     t = 1.0 / (z * z)
-    s = 0.0
-    for coef in reversed(_STIRLING):
-        s = s * t + coef
-    return s / z
+    return (((((((_S8 * t + _S7) * t + _S6) * t + _S5) * t + _S4) * t + _S3) * t + _S2) * t + _S1) / z
 
 
 def log_product_tail(c: float, r1: float, r2: float, d: float, m: int) -> float:
@@ -207,16 +209,19 @@ def log_partial_product(c: float, u: float, v: float, m: int) -> float:
     return total
 
 
-def log_head(c: float, u: float, v: float, roots: tuple[float, float, float], m: int) -> float:
+def log_head(c: float, u: float, v: float, roots: tuple[float, float, float], m: int, tail: bool = False) -> float:
     """ln of the first m factors 1 + c/[(k+u)(k+v)], whose roots form is
-    ``roots`` = (r1, r2, d), at a cost independent of m.
+    ``roots`` = (r1, r2, d), or with ``tail`` of the whole product, at a
+    cost independent of m.
 
-    The first min(m, 10) factors are summed; the rest, factors 11..m, are
-    the difference of two exact tails, log_product_tail(10) - log_product_tail(m),
-    whose Stirling remainders are below 1e-17.
+    The first min(m, 10) factors are summed; with ``tail`` the exact tail
+    after them follows, else factors 11..m as log_product_tail(10) -
+    log_product_tail(m).  Stirling remainders are below 1e-17 from 10 on.
     """
     n = min(m, _DEFAULT_M)
     total = log_partial_product(c, u, v, n)
+    if tail:
+        return total + log_product_tail(c, *roots, n)
     if m > n:
         total += log_product_tail(c, *roots, n) - log_product_tail(c, *roots, m)
     return total
@@ -238,11 +243,7 @@ def shifted_product(first: float, c: float, u: float, v: float, roots: tuple[flo
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if tail:
-        n = min(m - 1, _DEFAULT_M)
-        log_rest = log_partial_product(c, u, v, n) + log_product_tail(c, *roots, n)
-    else:
-        log_rest = log_head(c, u, v, roots, m - 1)
+    log_rest = log_head(c, u, v, roots, m - 1, tail)
     value = first * _exp(log_rest)
     if not math.isfinite(value):
         raise DomainError(f"the product {first!r} * exp({log_rest:.17g}) overflows the double range")
@@ -271,13 +272,14 @@ def _shifted(spec: JointFactorSpec) -> tuple[float, float, float, tuple[float, f
     return b * (x + b - 1.0), 1.0 - b, x + b, (1.0, x, -b)
 
 
-def _log_truncate(spec: JointFactorSpec, m: int) -> float:
-    """ln f_m: the k = 1 factor's log in closed form plus m-1 shifted factors."""
+def _log_truncate(spec: JointFactorSpec, m: int, tail: bool = False) -> float:
+    """ln f_m, or with ``tail`` ln f: the k = 1 factor's log in closed form
+    plus m-1 shifted factors (and with ``tail`` the rest of the product)."""
     c, u, v, roots = _shifted(spec)
     if c == 0.0:  # x + b = 1: every factor is 1
         return 0.0
     first = math.log(spec.x / v) - math.log1p(-spec.b)
-    return first + log_head(c, u, v, roots, m - 1) if m > 1 else first
+    return first + log_head(c, u, v, roots, m - 1, tail)
 
 
 def _exp(log_value: float) -> float:
@@ -295,7 +297,7 @@ def truncate(spec: JointFactorSpec, m: int) -> float:
     return _exp(_log_truncate(spec, m))
 
 
-def _bracket(spec: JointFactorSpec, c: float, m: int, log_fm: float) -> tuple[float, float]:
+def _bracket(spec: JointFactorSpec, m: int, log_fm: float) -> tuple[float, float]:
     """Rigorous bounds on f from f_m and an overestimate of the tail.
 
     D_k = (k-b)(k+x+b-1) >= (k-1)(k-1+x) on the domain and 1/(t(t+x)) is
@@ -305,6 +307,7 @@ def _bracket(spec: JointFactorSpec, c: float, m: int, log_fm: float) -> tuple[fl
     negative c the bound is widened by D_{m+1}/(D_{m+1} - |c|), from
     ln(1+y) >= y/(1+y).
     """
+    c = _shifted(spec)[0]
     if c == 0.0:
         f = _exp(log_fm)
         return f, f
@@ -342,22 +345,17 @@ def joint_factor(spec: JointFactorSpec, policy: TruncationPolicy = TruncationPol
     head up to ``policy.m_max`` meets ``policy.tol``, ``DomainError`` when
     f (or its bracket) lies beyond the double range.
     """
+    bracket = policy.mode == "bracket"
     if spec.b == 0.0:
-        one = 1.0
-        if policy.mode == "bracket":
-            return Estimate(one, 0.0, 0, lower=one, upper=one, tail_corrected=False)
-        return Estimate(one, 0.0, 0, tail_corrected=False)
+        return Estimate(1.0, 0.0, 0, 1.0, 1.0) if bracket else Estimate(1.0, 0.0, 0)
     m = _adaptive_order(spec, policy) if policy.mode == "adaptive" else policy.m
-    log_fm = _log_truncate(spec, m)
     if policy.mode == "fixed":
-        return Estimate(_exp(log_fm), log_fm, m, tail_corrected=False)
-    c, _, _, roots = _shifted(spec)
-    log_est = log_fm + log_product_tail(c, *roots, m - 1)
+        log_fm = _log_truncate(spec, m)
+        return Estimate(_exp(log_fm), log_fm, m)
+    log_est = _log_truncate(spec, m, tail=True)
     value = _exp(log_est)
-    if policy.mode != "bracket":
-        return Estimate(value, log_est, m, tail_corrected=True)
-    lower, upper = _bracket(spec, c, m, log_fm)
-    return Estimate(value, log_est, m, lower=lower, upper=upper, tail_corrected=True)
+    lower, upper = _bracket(spec, m, _log_truncate(spec, m)) if bracket else (None, None)
+    return Estimate(value, log_est, m, lower, upper, tail_corrected=True)
 
 
 def joint_factor_series(spec: JointFactorSpec, N: int) -> float:

@@ -25,6 +25,8 @@ from .reference import EULER_GAMMA, power_tail
 _PSI_COEF = tuple(c * (2 * j - 1) for j, c in enumerate(_STIRLING, 1))
 _PSI1_COEF = tuple(c * 2 * j * (2 * j - 1) for j, c in enumerate(_STIRLING, 1))
 _HEAD = 10
+# digamma_series_raw keeps one float per term, so longer series are refused.
+RAW_SERIES_N_MAX = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,8 @@ def digamma_series_raw(t: float, N: int) -> float:
     from f(1, 1-t) = Gamma(2-t) Gamma(t) = pi (1-t) / sin(pi t) by the exact
     ratio (n-t)/(n-1).  Converges like N^{-t}: it shows the acceleration."""
     _validate(t, 10)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    if not 1 <= N <= RAW_SERIES_N_MAX:
+        raise DomainError(f"N must lie in [1, {RAW_SERIES_N_MAX}], got {N}")
     sin_pi_t = math.sin(math.pi * t)
     fn = math.pi * (1.0 - t) / sin_pi_t
     terms = [fn]

@@ -67,16 +67,10 @@ _ZETA_DIRECT_TERMS = 10000
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Accuracy contract of the reference evaluators.
-
-    ``target_abs_error`` is what the self test enforces; the method tags
-    record which scheme backs each function.
-    """
+    """Accuracy contract of the reference evaluators: ``target_abs_error``
+    is what the self test enforces."""
 
     target_abs_error: float = 1e-13
-    gamma_method: str = "lanczos"
-    psi_method: str = "recurrence+asymptotic"
-    zeta_method: str = "euler-maclaurin"
 
     def __post_init__(self) -> None:
         if not 1e-15 <= self.target_abs_error <= 1e-8:

@@ -2,10 +2,12 @@
 counterexamples to the two claimed refinement intervals."""
 
 import math
+import time
 
 import pytest
 
 from conftest import adaptive_simpson, app9_i1_crossing, grid
+from gammaprod import bounds
 from gammaprod.bounds import (
     MAX_GRID_POINTS,
     AlzerConstants,
@@ -506,12 +508,45 @@ def test_app8_alphas_that_print_alike_keep_every_margin():
     assert rep.worst_margin.hex() == "0x1.3cbda83c64f80p-8"
 
 
-def test_app7_order_counts_against_the_cap():
-    assert verify_suite("app7", hi=20, m=MAX_GRID_POINTS // 20).violations == 0
-    with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
-        verify_suite("app7", m=10**9)
-    with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
-        verify_suite("app7", hi=MAX_GRID_POINTS)  # at the default m = 5
+def test_app7_holds_at_any_order():
+    # app7's bounds are truncates, O(1) in s and m, so no order is refused
+    t0 = time.perf_counter()
+    assert verify_suite("app7", m=10**9).holds
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 999])
+def test_app7_bounds_match_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 40
+
+    def f_m(x, m):  # m-truncate of f(x, 1/2) by its Gamma closed form
+        x, h = mp.mpf(x), mp.mpf(1) / 2
+        return mp.exp(mp.loggamma(m + 1) + mp.loggamma(x + m) - mp.loggamma(x) + mp.loggamma(h)
+                      - mp.loggamma(m + h) + mp.loggamma(x + h) - mp.loggamma(x + m + h))
+
+    for order in (1, 5, 1000, 10**9):
+        lower, upper = app7_bounds(n, order, order)
+        want_lower = f_m(mp.mpf(n + 1) / 2, order) / mp.pi
+        want_upper = (mp.mpf(n) / 2) / f_m(mp.mpf(n) / 2, order)
+        assert abs(lower / want_lower - 1) < 1e-15
+        assert abs(upper / want_upper - 1) < 1e-15
+
+
+@pytest.mark.parametrize("suite, kw, check", [
+    ("app1", {"lo": 5, "hi": 3}, "check 1 of 1 (app1: p in {})"),
+    ("app7", {"lo": 9, "hi": 2}, "check 1 of 1 (app7: n in {}"),
+    ("app9", {"points": 1}, "check 2 of 7 (app9_bracket: x in {})"),
+])
+def test_empty_grids_are_refused_before_any_point(suite, kw, check, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(bounds, "ref_gamma", lambda x: evaluated.append(x))
+    monkeypatch.setattr(bounds, "truncate", lambda *a: evaluated.append(a))
+    with pytest.raises(DomainError, match="the grid is empty") as err:
+        verify_suite(suite, **kw)
+    assert check in str(err.value)
+    assert evaluated == []
 
 
 def test_overflowing_bounds_are_domain_errors():

@@ -289,6 +289,17 @@ def test_bounds_m_on_fixed_order_suite_is_domain_error(capsys, suite):
     assert "fixed truncation order" in err
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (("convergence", "--target", "digamma", "--t", "0.5", "--m-list", "1000000000"), "1000000"),
+    (("coeffs", "--x", "0.25", "--b", "0.5", "--n", "100000"), "2000"),
+])
+def test_quadratic_or_unbounded_work_is_refused_at_once(capsys, argv, limit):
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == "" and limit in err
+    assert time.perf_counter() - t0 < 0.1  # refused before any term is formed
+
+
 def test_bounds_csv_format(capsys):
     code, out, _ = invoke(capsys, "bounds", "--suite", "app1", "--format", "csv")
     lines = out.strip().splitlines()

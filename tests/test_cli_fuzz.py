@@ -31,8 +31,8 @@ tols = st.one_of(floats, st.floats(min_value=1e-300, max_value=0.9))
 grid_points = st.one_of(st.integers(min_value=-5, max_value=3000), st.just(10**9))
 # grid ends: any float, and often one inside a suite's own range
 grid_ends = st.one_of(floats, st.floats(min_value=-2.0, max_value=120.0))
-# app6's and app8's bounds cost O(1) in m and app7's O(m) per point, so app7
-# holds points times m to the grid cap: m up to 10^9 is refused or quick
+# app6's, app7's and app8's bounds are truncates, O(1) per point in m, so
+# m up to 10^9 is quick
 suite_orders = st.one_of(st.integers(min_value=-3, max_value=200), st.integers(min_value=-3, max_value=10**9))
 # often ascending and positive, else anything; digamma's raw series costs O(max m)
 m_lists = st.one_of(

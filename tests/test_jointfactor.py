@@ -222,8 +222,7 @@ def test_spec_validation():
         joint_factor_series(JointFactorSpec(1.0, 0.5), 0)
 
 
-@pytest.mark.parametrize("m", [1, 9, 10, 11, 57, 1000, 123456])
-@pytest.mark.parametrize(
+_HEAD_CASES = pytest.mark.parametrize(
     "c, u, v, roots",
     [
         (0.2 * (0.3 + 0.2 - 1.0), 0.8, 0.5, (1.0, 0.3, -0.2)),  # joint factor, shifted
@@ -232,10 +231,42 @@ def test_spec_validation():
     ],
     ids=["joint", "beta", "sin"],
 )
+
+
+@pytest.mark.parametrize("m", [1, 9, 10, 11, 57, 1000, 123456])
+@_HEAD_CASES
 def test_log_head_is_the_summed_head(c, u, v, roots, m):
     # ten factors summed, the rest as a difference of exact tails: the same
     # number as summing every factor, up to the long sum's own rounding
     assert log_head(c, u, v, roots, m) == pytest.approx(log_partial_product(c, u, v, m), rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("m", [1, 9, 10, 11, 57, 1000, 123456])
+@_HEAD_CASES
+def test_log_head_with_tail_is_the_whole_product(c, u, v, roots, m):
+    # prod_{k>=1} (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)]
+    #   = Gamma(1+r1+d) Gamma(1+r2-d) / [Gamma(1+r1) Gamma(1+r2)],
+    # up to the Stirling remainder of the tail after min(m, 10) factors
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 40
+    r1, r2, d = (mp.mpf(r) for r in roots)
+    want = float(mp.loggamma(1 + r1 + d) + mp.loggamma(1 + r2 - d) - mp.loggamma(1 + r1) - mp.loggamma(1 + r2))
+    remainder = jointfactor.tail_remainder(*roots, min(m, 10))
+    assert abs(log_head(c, u, v, roots, m, tail=True) - want) <= remainder + 1e-14 * abs(want) + 1e-16
+
+
+@pytest.mark.parametrize("x, b", [(0.3, 0.2), (1e-300, 0.5), (2.5, 0.9), (1e6, 0.01), (0.01, 0.99)])
+def test_tail_modes_evaluate_one_product_whatever_m(x, b):
+    # every tail mode is ten factors plus the exact tail after them, so from
+    # m = 11 on (ten shifted factors after the first) m changes no bit
+    spec = JointFactorSpec(x, b)
+    logs = {
+        joint_factor(spec, TruncationPolicy(mode=mode, m=m, m_max=max(m, 10**7))).log_value
+        for mode in ("tail_corrected", "bracket", "adaptive")
+        for m in (11, 12, 1000, 10**9)
+    }
+    assert len(logs) == 1
 
 
 def test_no_head_sums_more_than_ten_factors(monkeypatch):
