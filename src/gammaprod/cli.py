@@ -301,9 +301,9 @@ def _do_beta(args) -> tuple[Any, int]:
 
 def _do_identity(args) -> tuple[Any, int]:
     if args.name == "quarter":
-        classical, new = ident_mod.gamma_quarter_squared(args.m)
-        ref = ident_mod.quarter_reference()
         partials = ident_mod.quarter_partials(args.m)
+        classical, new = partials[0][-1], partials[1][-1]
+        ref = ident_mod.quarter_reference()
         ahead = all(abs(c - ref) <= abs(n - ref) for c, n in zip(*partials))
         payload = {
             "op": "identity",

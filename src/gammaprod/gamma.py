@@ -14,7 +14,6 @@ function's product form.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -25,15 +24,13 @@ from .jointfactor import (
     JointFactorSpec,
     TruncationPolicy,
     _exp,
+    _stirling_sum,
     joint_factor,
     log_partial_product,  # noqa: F401 -- not called here; perfbench/test_perfbench.py reads gamma.log_partial_product
     shifted_product,
 )
-from .reference import ref_gamma, ref_log_gamma
 
 _TWO_PI = 2.0 * math.pi
-_MAX_RATIONAL_DEN = 64
-_RATIONAL_TOL = 1e-12
 # largest denominator that gets a factor table: at 1024 one fills in 20-35 ms
 # and keeps about 0.36 MB, so the 128-table memo stays under 50 MB
 _MAX_TABLE_DEN = 1024
@@ -72,9 +69,9 @@ class GammaValue:
     m_used: int = 0
 
 
-_GAMMA_ONE = GammaValue(1.0, 0.0, 1.0, "oracle")
+_GAMMA_ONE = GammaValue(1.0, 0.0, 1.0, "exact")
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
-_GAMMA_HALF = GammaValue(math.sqrt(math.pi), _LOG_SQRT_PI, math.exp(-_LOG_SQRT_PI), "oracle")
+_GAMMA_HALF = GammaValue(math.sqrt(math.pi), _LOG_SQRT_PI, math.exp(-_LOG_SQRT_PI), "exact")
 
 
 class _FactorTable(NamedTuple):
@@ -147,45 +144,42 @@ def gamma_inv_p_pow(p: int, policy: TruncationPolicy = TruncationPolicy()) -> fl
     return _exp(log_val)
 
 
-@lru_cache(maxsize=1)
-def _small_fractions() -> tuple[tuple[float, ...], tuple[tuple[int, int], ...]]:
-    """Every reduced q/p in (0, 1] with p <= 64, sorted, as (values, (q, p)
-    pairs); built on first use, not at import.  Neighbours lie at least
-    1/(64*63) apart, far wider than _RATIONAL_TOL, so at most one is in reach."""
-    dens = range(1, _MAX_RATIONAL_DEN + 1)
-    ordered = sorted((q / p, q, p) for p in dens for q in range(1, p + 1) if math.gcd(q, p) == 1)
-    return tuple(t for t, _, _ in ordered), tuple((q, p) for _, q, p in ordered)
+_STIRLING_CONST = 0.5 * math.log(_TWO_PI) - 0.5
+_LOG_11 = math.log(11.0)
+_STIRLING_AT_11 = _stirling_sum(11.0)
 
 
-def _log_gamma_anchor(t: float, policy: TruncationPolicy) -> float:
-    """ln Gamma(t) through the rational product path when t lies within
-    _RATIONAL_TOL * max(1, t) of a fraction q/p <= 1 with p <= 64, else
-    through the reference oracle."""
-    if 0.0 < t <= 1.0 + _RATIONAL_TOL:
-        values, fractions = _small_fractions()
-        i = bisect_left(values, t)
-        if i == len(values) or (i > 0 and t - values[i - 1] < values[i] - t):
-            i -= 1  # the lower neighbour is the nearer
-        if abs(t - values[i]) <= _RATIONAL_TOL * max(1.0, t):
-            return gamma_rational(RationalArgument(*fractions[i]), policy).log_value
-    return ref_log_gamma(t)
+def _log_gamma_anchor(t: float) -> float:
+    """ln Gamma(t) for every t > 0: from 10 on the Stirling series (DLMF
+    5.11.1), whose remainder there is below 2e-18; below, Euler's product
+    Gamma(t) = Gamma(11+t) / [t (1+t) ... (10+t)] (DLMF 5.8.2) and the exact
+    tail ln Gamma(11+t) - ln Gamma(11), written so that no ln 11! cancels.
+    The ten log1p terms are written out: a loop costs more than they do."""
+    if t >= 10.0:
+        return (t - 0.5) * (math.log(t) - 1.0) + _STIRLING_CONST + _stirling_sum(t)
+    head = (
+        math.log1p(t) + math.log1p(t / 2.0) + math.log1p(t / 3.0) + math.log1p(t / 4.0) + math.log1p(t / 5.0)
+        + math.log1p(t / 6.0) + math.log1p(t / 7.0) + math.log1p(t / 8.0) + math.log1p(t / 9.0) + math.log1p(t / 10.0)
+    )
+    tail = t * _LOG_11 + (10.5 + t) * math.log1p(t / 11.0) - t
+    return tail - head - math.log(t) + (_stirling_sum(11.0 + t) - _STIRLING_AT_11)
 
 
 def gamma_ratio(x: float, b: float, policy: TruncationPolicy = TruncationPolicy()) -> float:
-    """Gamma(x+b)/Gamma(x) = f(x, b) / Gamma(1-b) for x > 0, 0 <= b < 1."""
+    """Gamma(x+b)/Gamma(x) = f(x, b) / Gamma(1-b) for x > 0, 0 <= b < 1; ``policy`` governs f alone."""
     spec = JointFactorSpec(x, b)
     if b == 0.0:
         return 1.0
     log_f = joint_factor(spec, policy).log_value
-    return math.exp(log_f - _log_gamma_anchor(1.0 - b, policy))
+    return math.exp(log_f - _log_gamma_anchor(1.0 - b))
 
 
 def gamma_duplication(x: float, policy: TruncationPolicy = TruncationPolicy()) -> float:
-    """Gamma(2x) = (2^{2x-1} / pi) f(x, 1/2) [Gamma(x)]^2."""
+    """Gamma(2x) = (2^{2x-1} / pi) f(x, 1/2) [Gamma(x)]^2; ``policy`` governs f alone."""
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
     log_f = joint_factor(JointFactorSpec(x, 0.5), policy).log_value
-    log_val = (2.0 * x - 1.0) * math.log(2.0) - math.log(math.pi) + log_f + 2.0 * _log_gamma_anchor(x, policy)
+    log_val = (2.0 * x - 1.0) * math.log(2.0) - math.log(math.pi) + log_f + 2.0 * _log_gamma_anchor(x)
     return _exp(log_val)
 
 

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .gamma import RationalArgument, gamma_rational
 from .jointfactor import shifted_product
-from .reference import ref_gamma
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,9 @@ def gamma_quarter_squared(m: int) -> tuple[float, float]:
 
     classical: 4 pi prod (4k-1)/(4k+1) sqrt((2k+1)/(2k-1))
     new:       pi sqrt(2 pi) prod (2k-1)/(2k) (4k-1)/(4k-3)
-    Raw partials by design; no tail correction.
+    Raw partials by design; no tail correction.  ``DomainError`` unless
+    1 <= m <= QUARTER_M_MAX.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
     classical, new = quarter_partials(m)
     return classical[-1], new[-1]
 
@@ -137,9 +136,8 @@ def quarter_partials(m_max: int) -> tuple[list[float], list[float]]:
 
 
 def quarter_reference() -> float:
-    """[Gamma(1/4)]^2 from the reference oracle."""
-    g = ref_gamma(0.25)
-    return g * g
+    """[Gamma(1/4)]^2 from the paper's closed form for Gamma(1/4)."""
+    return gamma_rational(RationalArgument(1, 4)).value ** 2
 
 
 _CLOSED_FORMS = {

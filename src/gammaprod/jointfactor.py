@@ -25,10 +25,10 @@ head of about ten factors gives full double precision for every x > 0.
 The same tails give any head in closed form: :func:`log_head` sums at most
 ten factors and takes factors 11..m as the difference of the tails after 10
 and after m, so an m-factor truncate costs the same for m = 10 and m = 10^9
-and still equals f_m; with the tail it is the whole product, min(m, 10)
-factors and the exact tail after them.  So every tail mode evaluates the
-whole product whatever m is; m sets only ``m_used``, the bracket's truncate
-and adaptive mode's search.  The joint factor's first factor
+and still equals f_m; with the tail it is the whole product, ten factors
+and the exact tail after them.  So every tail mode evaluates the same
+number whatever m is; m sets only ``m_used``, the bracket's truncate and
+adaptive mode's search.  The joint factor's first factor
 x / [(1-b)(x+b)] is taken by its own log, exact as x -> 0.  Beta and the
 trigonometric products share the factor shape: :func:`shifted_product`
 takes their k = 1 factor from its exact linear terms and the rest, with
@@ -46,10 +46,11 @@ from .reference import _psi3, ref_digamma, ref_trigamma
 
 _MODES = ("fixed", "tail_corrected", "bracket", "adaptive")
 
-# Default head length, and the most factors log_head sums.  With the exact
-# tail, m = 10 already meets the Gamma(q/p) accuracy over the whole rational
-# table (see README); longer heads add rounding, not accuracy.
+# Default head length, and the factors log_head sums before an exact tail.
+# With the exact tail, m = 10 already meets the Gamma(q/p) accuracy over the
+# whole rational table (see README); longer heads add rounding, not accuracy.
 _DEFAULT_M = 10
+_ADAPTIVE_M_MAX = 10_000_000  # the longest head adaptive mode searches
 
 # Stirling coefficients B_2j / (2j (2j-1)), j = 1..8, of
 # ln Gamma(z) ~ (z-1/2) ln z - z + ln(2 pi)/2 + sum_j B_2j / (2j (2j-1)) z^(1-2j).
@@ -88,18 +89,18 @@ class TruncationPolicy:
     """How to truncate the product: mode, head length m, adaptive tolerance.
 
     ``fixed`` keeps the raw m-factor truncate f_m.  The tail modes evaluate
-    the whole product whatever m is: m sets ``m_used``, the truncate f_m
-    from which ``bracket`` adds rigorous bounds, and adaptive's search.
-    Every mode costs O(min(m, 10)): see :func:`log_head`.  ``adaptive`` takes
-    the first head of max(m, 16), 4 max(m, 16), ... (capped at ``m_max``)
-    whose tail remainder bound is at most ``tol``: an absolute error in
-    ln f, which is a relative error in f.
+    the whole product, the same number whatever m is: m sets ``m_used``,
+    the truncate f_m from which ``bracket`` adds rigorous bounds, and
+    adaptive's search.  Every mode costs O(10): see :func:`log_head`.
+    ``adaptive`` takes the first head of max(m, 16), 4 max(m, 16), ...
+    (capped at ``_ADAPTIVE_M_MAX``, 10^7, and refusing a larger m) whose
+    tail remainder bound is at most ``tol``: an absolute error in ln f,
+    which is a relative error in f.
     """
 
     mode: str = "tail_corrected"
     m: int = _DEFAULT_M
     tol: float = 1e-9
-    m_max: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -108,8 +109,8 @@ class TruncationPolicy:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if not 0.0 < self.tol < 1.0:
             raise DomainError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.mode == "adaptive" and self.m_max < self.m:  # the only mode that reads m_max
-            raise DomainError("m_max must be >= m")
+        if self.mode == "adaptive" and self.m > _ADAPTIVE_M_MAX:
+            raise DomainError(f"adaptive mode takes m <= {_ADAPTIVE_M_MAX}, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -214,14 +215,15 @@ def log_head(c: float, u: float, v: float, roots: tuple[float, float, float], m:
     ``roots`` = (r1, r2, d), or with ``tail`` of the whole product, at a
     cost independent of m.
 
-    The first min(m, 10) factors are summed; with ``tail`` the exact tail
-    after them follows, else factors 11..m as log_product_tail(10) -
-    log_product_tail(m).  Stirling remainders are below 1e-17 from 10 on.
+    With ``tail`` m is not read: ten factors are summed and the exact tail
+    after them follows.  Else the first min(m, 10) factors are summed and
+    factors 11..m follow as log_product_tail(10) - log_product_tail(m).
+    Stirling remainders are below 1e-17 from 10 on.
     """
+    if tail:
+        return log_partial_product(c, u, v, _DEFAULT_M) + log_product_tail(c, *roots, _DEFAULT_M)
     n = min(m, _DEFAULT_M)
     total = log_partial_product(c, u, v, n)
-    if tail:
-        return total + log_product_tail(c, *roots, n)
     if m > n:
         total += log_product_tail(c, *roots, n) - log_product_tail(c, *roots, m)
     return total
@@ -231,7 +233,7 @@ def shifted_product(first: float, c: float, u: float, v: float, roots: tuple[flo
     """A product of m factors whose k = 1 factor is ``first``, the other
     m-1 passed shifted to j = k-1 >= 1 as 1 + c/[(j+u)(j+v)] with roots
     (r1, r2, d); with ``tail``, the whole infinite product, which is the
-    first min(m, 11) factors times the exact tail after them.
+    first 11 factors times the exact tail after them, whatever m is.
 
     Written as 1 + c/D_1, a k = 1 factor that vanishes or blows up with a
     small argument rounds that argument away.  The caller forms ``first``
@@ -326,14 +328,14 @@ def _adaptive_order(spec: JointFactorSpec, policy: TruncationPolicy) -> int:
     """The head length adaptive mode uses: see :class:`TruncationPolicy`.
     The tail after m factors is the shifted product's tail after m-1."""
     roots = _shifted(spec)[3]
-    if tail_remainder(*roots, policy.m_max - 1) > policy.tol:
+    if tail_remainder(*roots, _ADAPTIVE_M_MAX - 1) > policy.tol:
         raise ConvergenceError(
             f"adaptive joint factor for (x={spec.x}, b={spec.b}) "
-            f"needs more than m_max={policy.m_max} terms at tol={policy.tol}"
+            f"needs more than {_ADAPTIVE_M_MAX} terms at tol={policy.tol}"
         )
-    m = min(max(policy.m, 16), policy.m_max)
+    m = max(policy.m, 16)  # at most _ADAPTIVE_M_MAX: the policy refuses a larger m
     while tail_remainder(*roots, m - 1) > policy.tol:
-        m = min(4 * m, policy.m_max)
+        m = min(4 * m, _ADAPTIVE_M_MAX)
     return m
 
 
@@ -342,7 +344,7 @@ def joint_factor(spec: JointFactorSpec, policy: TruncationPolicy = TruncationPol
 
     b = 0 is the degenerate case f = 1 and returns immediately with
     m_used = 0.  ``ConvergenceError`` is raised in adaptive mode when no
-    head up to ``policy.m_max`` meets ``policy.tol``, ``DomainError`` when
+    head up to ``_ADAPTIVE_M_MAX`` meets ``policy.tol``, ``DomainError`` when
     f (or its bracket) lies beyond the double range.
     """
     bracket = policy.mode == "bracket"

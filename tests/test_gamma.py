@@ -2,10 +2,9 @@
 
 import math
 import time
-from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_pairs
@@ -13,7 +12,6 @@ from gammaprod.errors import DomainError
 from gammaprod.gamma import (
     RationalArgument,
     _factor_log,
-    _log_gamma_anchor,
     beta,
     beta_partial,
     gamma_duplication,
@@ -43,7 +41,8 @@ def test_rational_argument_reduces():
 def test_gamma_one_and_half_anchors():
     assert gamma_rational(RationalArgument(3, 3)).value == 1.0
     assert gamma_rational(RationalArgument(2, 4)).value == pytest.approx(SQRT_PI, rel=1e-15)
-    assert gamma_rational(RationalArgument(1, 2)).method == "oracle"
+    assert gamma_rational(RationalArgument(1, 2)).method == "exact"
+    assert gamma_rational(RationalArgument(1, 1)).method == "exact"
 
 
 def test_gamma_rational_rejects_arguments_above_one():
@@ -161,6 +160,8 @@ def test_negative_cube_reconstruction():
 def test_beta_values():
     assert beta(1.0, 0.5) == pytest.approx(2.0, rel=1e-14)
     assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-10)
+    # every tail mode sums ten factors, so a one-factor head is the whole product
+    assert beta(0.5, 0.5, TruncationPolicy(m=1)) == pytest.approx(math.pi, rel=1e-15)
     want = math.exp(ref_log_gamma(0.5) + ref_log_gamma(1.0 / 3.0) - ref_log_gamma(5.0 / 6.0))
     assert beta(0.5, 1.0 / 3.0) == pytest.approx(want, rel=1e-9)
 
@@ -276,36 +277,14 @@ def test_table_denominator_cap():
     )
 
 
-def _fraction_rule_anchor(t, policy):
-    """The anchor's earlier rule, kept as the reference: Fraction(t) limited to
-    denominator 64, accepted within 1e-12 * max(1, t) and when at most 1."""
-    if t > 0.0:
-        frac = Fraction(t).limit_denominator(64)
-        q, p = frac.numerator, frac.denominator
-        if q >= 1 and abs(t - float(frac)) <= 1e-12 * max(1.0, t) and q <= p:
-            return gamma_rational(RationalArgument(q, p), policy).log_value
-    return ref_log_gamma(t)
-
-
-_ANCHOR_FRACTIONS = [(1, 1), (1, 2)] + reduced_pairs(64)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    t=st.one_of(
-        st.tuples(st.sampled_from(_ANCHOR_FRACTIONS), st.floats(min_value=-2e-12, max_value=2e-12)).map(
-            lambda d: d[0][0] / d[0][1] * (1.0 + d[1])
-        ),
-        st.floats(min_value=1.0, max_value=1.0 + 1e-11, exclude_min=True),
-        st.floats(min_value=-300.0, max_value=6.0).map(lambda e: 10.0**e),
-    )
-)
-@example(t=1.0 + 4503 * 2.0**-52)  # the last float above 1 within 1e-12 of it
-@example(t=1.0 + 4504 * 2.0**-52)
-@example(t=1 / 64 * (1.0 - 1e-12))
-def test_bisection_anchor_matches_the_fraction_rule(t):
-    policy = TruncationPolicy()
-    assert _log_gamma_anchor(t, policy).hex() == _fraction_rule_anchor(t, policy).hex()
+@pytest.mark.parametrize("x", [1.7, 0.01, 250.0])
+def test_gamma_ratio_under_a_fixed_policy_is_continuous_across_fractions(x):
+    # the policy governs f alone; Gamma(1-b) is one method at every b, so
+    # a short fixed head moves the ratio by no more than b moves it
+    policy = TruncationPolicy(mode="fixed", m=2)
+    at = gamma_ratio(x, 1 / 3, policy)
+    near = gamma_ratio(x, 1 / 3 + 1e-9, policy)
+    assert abs(near - at) <= 1e-8 * at
 
 
 def test_m_used_is_the_longest_factor_head():

@@ -185,12 +185,13 @@ def test_adaptive_mode():
     assert abs(est.value - oracle_f(0.25, 0.5)) <= 1e-8
     # the stopping rule is the exact tail's remainder bound, so a tight tol
     # needs only a short head
-    est = joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=16, tol=1e-12, m_max=32))
+    est = joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=16, tol=1e-12))
     assert est.m_used == 16
     assert abs(est.value - oracle_f(0.25, 0.5)) <= 1e-12 * oracle_f(0.25, 0.5)
-    # truly infeasible: a one-factor head leaves a Stirling remainder far above tol
+    # truly infeasible: even a head of 10^7 factors leaves a Stirling
+    # remainder (~m^-17) far above tol
     with pytest.raises(ConvergenceError):
-        joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=1, tol=1e-12, m_max=1))
+        joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=1, tol=1e-200))
 
 
 def test_policy_validation():
@@ -201,8 +202,8 @@ def test_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(tol=2.0)
     with pytest.raises(DomainError):
-        TruncationPolicy(mode="adaptive", m=100, m_max=10)
-    # m_max caps only adaptive mode's search; the other modes cost O(10) at any m
+        TruncationPolicy(mode="adaptive", m=10**7 + 1)
+    # 10^7 caps only adaptive mode's search; the other modes cost O(10) at any m
     for mode in ("fixed", "tail_corrected", "bracket"):
         assert TruncationPolicy(mode=mode, m=10**8).m == 10**8
 
@@ -246,26 +247,28 @@ def test_log_head_is_the_summed_head(c, u, v, roots, m):
 def test_log_head_with_tail_is_the_whole_product(c, u, v, roots, m):
     # prod_{k>=1} (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)]
     #   = Gamma(1+r1+d) Gamma(1+r2-d) / [Gamma(1+r1) Gamma(1+r2)],
-    # up to the Stirling remainder of the tail after min(m, 10) factors
+    # up to the Stirling remainder of the tail after ten factors, whatever m is
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     mp.dps = 40
     r1, r2, d = (mp.mpf(r) for r in roots)
     want = float(mp.loggamma(1 + r1 + d) + mp.loggamma(1 + r2 - d) - mp.loggamma(1 + r1) - mp.loggamma(1 + r2))
-    remainder = jointfactor.tail_remainder(*roots, min(m, 10))
+    remainder = jointfactor.tail_remainder(*roots, 10)
     assert abs(log_head(c, u, v, roots, m, tail=True) - want) <= remainder + 1e-14 * abs(want) + 1e-16
 
 
 @pytest.mark.parametrize("x, b", [(0.3, 0.2), (1e-300, 0.5), (2.5, 0.9), (1e6, 0.01), (0.01, 0.99)])
 def test_tail_modes_evaluate_one_product_whatever_m(x, b):
-    # every tail mode is ten factors plus the exact tail after them, so from
-    # m = 11 on (ten shifted factors after the first) m changes no bit
+    # every tail mode is the first factor, ten shifted factors and the exact
+    # tail after them, so m changes no bit
     spec = JointFactorSpec(x, b)
     logs = {
-        joint_factor(spec, TruncationPolicy(mode=mode, m=m, m_max=max(m, 10**7))).log_value
+        joint_factor(spec, TruncationPolicy(mode=mode, m=m)).log_value
         for mode in ("tail_corrected", "bracket", "adaptive")
-        for m in (11, 12, 1000, 10**9)
+        for m in (*range(1, 12), 1000, 10**7)
     }
+    for mode in ("tail_corrected", "bracket"):  # adaptive refuses m above 10^7
+        logs.add(joint_factor(spec, TruncationPolicy(mode=mode, m=10**9)).log_value)
     assert len(logs) == 1
 
 
@@ -280,7 +283,7 @@ def test_no_head_sums_more_than_ten_factors(monkeypatch):
     gamma.clear_factor_cache()
     spec = JointFactorSpec(0.3, 0.2)
     for mode in ("fixed", "tail_corrected", "bracket", "adaptive"):
-        joint_factor(spec, TruncationPolicy(mode=mode, m=10**6, tol=1e-9, m_max=10**7))
+        joint_factor(spec, TruncationPolicy(mode=mode, m=10**6, tol=1e-9))
     truncate(spec, 10**9)
     gamma.beta(2.5, 0.6, TruncationPolicy(mode="fixed", m=10**6))
     gamma.beta_partial(2.5, 0.6, 10**6)

@@ -1,0 +1,49 @@
+"""Import layering: the product path does not borrow from the oracle.
+
+Agreement between a product value and ``gammaprod.reference`` is evidence
+only while the two share no code, so the modules listed here must not
+import from it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gammaprod"
+
+# jointfactor.py and polygamma.py join this list once the benchmark remap of
+# ROADMAP item 4 stops tracing the helpers that still import the oracle.
+ORACLE_FREE = ("gamma.py", "identities.py")
+
+
+def _reference_imports(source: str) -> list[int]:
+    """Line numbers of every import of gammaprod.reference in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            relative = node.level == 1 and (node.module == "reference" or (node.module is None and "reference" in names))
+            absolute = node.module == "gammaprod.reference" or (node.module == "gammaprod" and "reference" in names)
+            if relative or absolute:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(alias.name == "gammaprod.reference" for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", ORACLE_FREE)
+def test_module_does_not_import_the_oracle(name):
+    assert _reference_imports((SRC / name).read_text()) == []
+
+
+def test_the_guard_sees_every_spelling():
+    spellings = (
+        "from .reference import ref_gamma",
+        "from . import reference",
+        "from gammaprod.reference import ref_gamma",
+        "from gammaprod import reference",
+        "import gammaprod.reference",
+    )
+    assert _reference_imports("\n".join(spellings)) == [1, 2, 3, 4, 5]
+    assert _reference_imports("from .jointfactor import joint_factor\nimport math") == []

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import reduced_pairs
-from gammaprod.gamma import RationalArgument, beta, gamma_negative, gamma_rational
+from gammaprod.gamma import RationalArgument, beta, gamma_duplication, gamma_negative, gamma_ratio, gamma_rational
 from gammaprod.identities import pow2_product, sin_product, tan_product
 from gammaprod.jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, truncate
 from gammaprod.polygamma import digamma, trigamma
@@ -139,6 +139,47 @@ def test_beta_over_log_uniform_x():
         x, y = log_uniform(rng, 0.01, 100.0), rng.uniform(0.01, 0.99)
         worst = max(worst, rel_err(beta(x, y, DEFAULT), mp.beta(x, y)))
     assert worst <= 5e-14
+
+
+def ratio_exact(x: float, b: float):
+    x, b = mp.mpf(x), mp.mpf(b)
+    return mp.exp(mp.loggamma(x + b) - mp.loggamma(x))
+
+
+def test_gamma_ratio_over_log_uniform_x():
+    rng = random.Random(20075)
+    worst = 0.0
+    for _ in range(1000):
+        x, b = log_uniform(rng, 0.01, 1e3), rng.uniform(0.01, 0.99)
+        worst = max(worst, rel_err(gamma_ratio(x, b), ratio_exact(x, b)))
+    assert worst <= 3e-15  # measured 2.2e-15
+
+
+def test_gamma_ratio_at_every_fraction_up_to_64():
+    # 1 - b = q/p: Gamma(1-b) is the anchor's, not a rational table's
+    rng = random.Random(20076)
+    worst = 0.0
+    for q, p in reduced_pairs(64):
+        x, b = log_uniform(rng, 0.01, 1e3), 1.0 - q / p
+        worst = max(worst, rel_err(gamma_ratio(x, b), ratio_exact(x, b)))
+    assert worst <= 3e-15  # measured 1.9e-15
+
+
+def test_gamma_duplication_over_log_uniform_x():
+    # Gamma(2x) reaches 4e304 at x = 85, where the rounding of its ~700-sized
+    # log alone is ~8e-14 relative
+    rng = random.Random(20077)
+    worst = 0.0
+    for _ in range(1000):
+        x = log_uniform(rng, 1e-300, 85.0)
+        worst = max(worst, rel_err(gamma_duplication(x), mp.gamma(2 * mp.mpf(x))))
+    assert worst <= 1e-13  # measured 5.9e-14
+
+
+def test_gamma_duplication_at_every_fraction_up_to_64():
+    fractions = [(1, 1), (1, 2)] + reduced_pairs(64)
+    worst = max(rel_err(gamma_duplication(q / p), mp.gamma(2 * mp.mpf(q / p))) for q, p in fractions)
+    assert worst <= 5e-15  # measured 2.0e-15
 
 
 @pytest.mark.parametrize(
