@@ -1,15 +1,9 @@
 """Gamma, Beta, digamma and trigamma through accelerated infinite products,
 with independent reference oracles and an inequality verification harness."""
 
-from .bounds import (
-    AlzerConstants,
-    App1Result,
-    BoundReport,
-    StirlingDecomposition,
-    verify_suite,
-)
+from .bounds import App1Result, BoundReport, StirlingDecomposition, verify_suite
 from .coeffs import CoeffTable, DerivTable, g_sequence, g_sequence_oracle, h_closed, h_sequence, pochhammer
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .gamma import (
     GammaValue,
     RationalArgument,
@@ -28,11 +22,9 @@ from .reference import EULER_GAMMA, OracleConfig, ref_digamma, ref_gamma, ref_lo
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlzerConstants",
     "App1Result",
     "BoundReport",
     "CoeffTable",
-    "ConvergenceError",
     "DerivTable",
     "DomainError",
     "Estimate",

@@ -36,13 +36,9 @@ _LN_2PI = math.log(2.0 * math.pi)
 # Points per grid above which a suite is refused before any point is evaluated.
 MAX_GRID_POINTS = 10**6
 
-
-@dataclass(frozen=True)
-class AlzerConstants:
-    """The exponent constants of the power-law Gamma bounds."""
-
-    alpha: float = 1.0 - EULER_GAMMA
-    beta: float = (math.pi * math.pi - 6.0 * EULER_GAMMA) / 12.0
+# The exponent constants of the power-law Gamma bounds.
+ALZER_ALPHA = 1.0 - EULER_GAMMA
+ALZER_BETA = (math.pi * math.pi - 6.0 * EULER_GAMMA) / 12.0
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ def app8_bound(alpha: float, m: int) -> float:
     return truncate(JointFactorSpec(alpha / 2.0, 0.5), m) / alpha
 
 
-def app9_alzer(x: float, constants: AlzerConstants = AlzerConstants()) -> tuple[float, float, float]:
+def app9_alzer(x: float) -> tuple[float, float, float]:
     """The power-law bounds (A, D, E)(x) = x^(ax-1), x^(b(x-1)-g), x^(x-1-g).
 
     A < Gamma < D holds on (0, 1) and D < Gamma < E on (1, inf); the harness
@@ -191,15 +187,15 @@ def app9_alzer(x: float, constants: AlzerConstants = AlzerConstants()) -> tuple[
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
     try:
-        a = x ** (constants.alpha * x - 1.0)
-        d = x ** (constants.beta * (x - 1.0) - EULER_GAMMA)
+        a = x ** (ALZER_ALPHA * x - 1.0)
+        d = x ** (ALZER_BETA * (x - 1.0) - EULER_GAMMA)
         e = x ** (x - 1.0 - EULER_GAMMA)
     except OverflowError:
         raise DomainError(f"the power-law bounds exceed the double range at x = {x!r}") from None
     return a, d, e
 
 
-def app9_refined(x: float, m: int, constants: AlzerConstants = AlzerConstants()) -> tuple[float, float]:
+def app9_refined(x: float, m: int) -> tuple[float, float]:
     """(K_m, L_m)(x) = sqrt(pi) A(x+1/2) / f_m(x, 1/2), sqrt(pi) E(x+1/2) / f_m(x, 1/2).
 
     K_m is a lower bound of Gamma on (0, 1/2), L_m an upper bound on
@@ -208,7 +204,7 @@ def app9_refined(x: float, m: int, constants: AlzerConstants = AlzerConstants())
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
     fm = truncate(JointFactorSpec(x, 0.5), m)
-    a, _, e = app9_alzer(x + 0.5, constants)
+    a, _, e = app9_alzer(x + 0.5)
     return _SQRT_PI * a / fm, _SQRT_PI * e / fm
 
 

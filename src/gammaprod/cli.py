@@ -1,9 +1,9 @@
 """Command-line surface: evaluation, identity checks, bound suites and
 convergence studies, with deterministic JSON/CSV output.
 
-Exit codes: 0 success, 1 domain error, 2 convergence failure, 3 bound-suite
-violation, 64 malformed usage.  Numbers are printed with 17 significant
-digits and no locale dependence, so identical invocations are byte-identical.
+Exit codes: 0 success, 1 domain error, 3 bound-suite violation, 64 malformed
+usage.  Numbers are printed with 17 significant digits and no locale
+dependence, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from . import bounds as bounds_mod
 from . import coeffs as coeffs_mod
 from . import identities as ident_mod
 from . import polygamma as poly_mod
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .gamma import RationalArgument, beta, gamma_rational
 from .jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, truncate
 from .reference import ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_CONVERGENCE = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
 
@@ -94,17 +93,12 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
-    if getattr(args, "tol", None) is not None:
-        return TruncationPolicy(mode="adaptive", m=args.m, tol=args.tol)
-    if args.tail:
-        return TruncationPolicy(mode="tail_corrected", m=args.m)
-    return TruncationPolicy(mode="fixed", m=args.m)
+    return TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=args.m)
 
 
 _POLICY_FLAGS = {
     "m": {"type": int, "default": 1000, "help": "product truncation order"},
     "tail": {"action": "store_true", "help": "apply the exact tail correction"},
-    "tol": {"type": float, "default": None, "help": "relative tolerance (switches to adaptive truncation)"},
 }
 
 
@@ -125,12 +119,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gamma", description="Gamma(q/p) via the rational product factorization")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    common(p, "m", "tail", "tol")
+    common(p, "m", "tail")
 
     p = sub.add_parser("jointfactor", description="f(x,b) = Gamma(x+b)Gamma(1-b)/Gamma(x)")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    common(p, "m", "tail", "tol")
+    common(p, "m", "tail")
 
     p = sub.add_parser("coeffs", description="log-series coefficients g_n(x,b), both construction routes")
     p.add_argument("--x", type=float, required=True)
@@ -226,7 +220,7 @@ def _do_gamma(args) -> tuple[Any, int]:
         "reciprocal": gv.reciprocal,
         "method": gv.method,
         "m_used": gv.m_used,
-        "tail_corrected": args.tail or args.tol is not None,
+        "tail_corrected": args.tail,
         "rel_err_vs_oracle": abs(gv.value - oracle) / oracle,
     }
     return payload, EXIT_OK
@@ -428,9 +422,6 @@ def run(argv: Sequence[str]) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except SystemExit:  # argparse --help
         return EXIT_OK
 

@@ -3,7 +3,3 @@
 
 class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
-
-
-class ConvergenceError(RuntimeError):
-    """An adaptive evaluation hit its term cap before meeting its tolerance."""

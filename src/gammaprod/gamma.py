@@ -59,8 +59,8 @@ class RationalArgument:
 @dataclass(frozen=True)
 class GammaValue:
     """Gamma(q/p) together with its log, reciprocal and assembly method;
-    ``m_used`` is the longest head any factor used.  The factor logs it was
-    assembled from are read from ``_factor_log(p, policy)``."""
+    ``m_used`` is the policy's head length, which every factor used.  The
+    factor logs it was assembled from are read from ``_factor_log(p, policy)``."""
 
     value: float
     log_value: float
@@ -78,15 +78,14 @@ class _FactorTable(NamedTuple):
     """Everything Gamma(q/p) reads for one denominator p >= 3.
 
     mu_k = ln f(k/p, 1/p) for k < p, prefix[j] = fsum(mu[:j]), v_k =
-    ln f(1/p, k/p) for k < p-1, v_sum = fsum(v), m_used the longest head,
-    and values[q-1] the finished Gamma(q/p) for every q < p.
+    ln f(1/p, k/p) for k < p-1, v_sum = fsum(v), and values[q-1] the
+    finished Gamma(q/p) for every q < p.
     """
 
     mu: tuple[float, ...]
     prefix: tuple[float, ...]
     v: tuple[float, ...]
     v_sum: float
-    m_used: int
     values: tuple[GammaValue, ...]
 
 
@@ -95,22 +94,20 @@ def _factor_log(p: int, policy: TruncationPolicy) -> _FactorTable:
     """p's factor table, filled once in O(p) and read by every Gamma(q/p)."""
     if p > _MAX_TABLE_DEN:
         raise DomainError(f"denominator {p} exceeds the factor-table limit {_MAX_TABLE_DEN}")
-    mu_est = [joint_factor(JointFactorSpec(k / p, 1 / p), policy) for k in range(1, p)]
-    v_est = [joint_factor(JointFactorSpec(1 / p, k / p), policy) for k in range(1, p - 1)]
-    mu, v = tuple(est.log_value for est in mu_est), tuple(est.log_value for est in v_est)
+    mu = tuple(joint_factor(JointFactorSpec(k / p, 1 / p), policy).log_value for k in range(1, p))
+    v = tuple(joint_factor(JointFactorSpec(1 / p, k / p), policy).log_value for k in range(1, p - 1))
     # prefix in O(p): each mu_k is an integer multiple of 1/den (den a power of
     # two), so every running sum is an exact integer, rounded once as by fsum
     ratios = [x.as_integer_ratio() for x in mu]
     den = max(d for _, d in ratios)
     prefix = tuple(s / den for s in accumulate((n * (den // d) for n, d in ratios), initial=0))
     v_sum = math.fsum(v)
-    m_used = max(est.m_used for est in mu_est + v_est)
     values = []
     for q in range(1, p):
         log_value = log_c_constant(p, q) + prefix[q - 1] - (q / p) * v_sum
         method = "lemma31" if q == 1 else "theorem31"
-        values.append(GammaValue(math.exp(log_value), log_value, math.exp(-log_value), method, m_used))
-    return _FactorTable(mu, prefix, v, v_sum, m_used, tuple(values))
+        values.append(GammaValue(math.exp(log_value), log_value, math.exp(-log_value), method, policy.m))
+    return _FactorTable(mu, prefix, v, v_sum, tuple(values))
 
 
 def log_c_constant(p: int, q: int) -> float:

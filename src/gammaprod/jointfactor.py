@@ -5,7 +5,7 @@ Two interchangeable estimators are exposed:
 * ``joint_factor`` evaluates the infinite product
   f(x, b) = prod_{k>=1} k (x+k-1) / [(k-b)(x+k+b-1)]: its m-factor
   truncate in fixed mode, and in every tail mode the whole product,
-  bracketed by rigorous bounds or with the order a tolerance needs.
+  optionally bracketed by rigorous bounds.
 * ``joint_factor_series`` evaluates exp(-sum g_n(x, b)) from the recursion
   coefficients in :mod:`gammaprod.coeffs`.
 
@@ -27,12 +27,11 @@ ten factors and takes factors 11..m as the difference of the tails after 10
 and after m, so an m-factor truncate costs the same for m = 10 and m = 10^9
 and still equals f_m; with the tail it is the whole product, ten factors
 and the exact tail after them.  So every tail mode evaluates the same
-number whatever m is; m sets only ``m_used``, the bracket's truncate and
-adaptive mode's search.  The joint factor's first factor
-x / [(1-b)(x+b)] is taken by its own log, exact as x -> 0.  Beta and the
-trigonometric products share the factor shape: :func:`shifted_product`
-takes their k = 1 factor from its exact linear terms and the rest, with
-closed-form roots, through the same kernel.
+number whatever m is; m sets only ``m_used`` and the bracket's truncate.
+The joint factor's first factor x / [(1-b)(x+b)] is taken by its own log,
+exact as x -> 0.  Beta and the trigonometric products share the factor
+shape: :func:`shifted_product` takes their k = 1 factor from its exact
+linear terms and the rest, with closed-form roots, through the same kernel.
 """
 
 from __future__ import annotations
@@ -41,24 +40,20 @@ import math
 from dataclasses import dataclass
 
 from . import coeffs
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .reference import _psi3, ref_digamma, ref_trigamma
 
-_MODES = ("fixed", "tail_corrected", "bracket", "adaptive")
+_MODES = ("fixed", "tail_corrected", "bracket")
 
 # Default head length, and the factors log_head sums before an exact tail.
 # With the exact tail, m = 10 already meets the Gamma(q/p) accuracy over the
 # whole rational table (see README); longer heads add rounding, not accuracy.
 _DEFAULT_M = 10
-_ADAPTIVE_M_MAX = 10_000_000  # the longest head adaptive mode searches
 
 # Stirling coefficients B_2j / (2j (2j-1)), j = 1..8, of
 # ln Gamma(z) ~ (z-1/2) ln z - z + ln(2 pi)/2 + sum_j B_2j / (2j (2j-1)) z^(1-2j).
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
 _S1, _S2, _S3, _S4, _S5, _S6, _S7, _S8 = _STIRLING
-# |B_18| / (18 * 17): for real z > 0 the remainder of that series is
-# smaller than the first omitted term, |B_18| / (18 * 17) z^-17.
-_STIRLING_NEXT = 43867 / 244188
 
 # Taylor switch for the psi-difference quotient of tail_sum_inverse.
 _DELTA_SWITCH = 0.5
@@ -84,33 +79,30 @@ class JointFactorSpec:
         return math.copysign(1.0, d) if d != 0.0 else 0.0
 
 
+def _check_m(m: int) -> None:
+    """A head length in [1, 2^53]: beyond 2^53, m + 1 is not exact."""
+    if not 1 <= m <= 2**53:
+        raise DomainError(f"m must lie in [1, 2^53], got {m}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How to truncate the product: mode, head length m, adaptive tolerance.
+    """How to truncate the product: mode and head length m.
 
-    ``fixed`` keeps the raw m-factor truncate f_m.  The tail modes evaluate
-    the whole product, the same number whatever m is: m sets ``m_used``,
-    the truncate f_m from which ``bracket`` adds rigorous bounds, and
-    adaptive's search.  Every mode costs O(10): see :func:`log_head`.
-    ``adaptive`` takes the first head of max(m, 16), 4 max(m, 16), ...
-    (capped at ``_ADAPTIVE_M_MAX``, 10^7, and refusing a larger m) whose
-    tail remainder bound is at most ``tol``: an absolute error in ln f,
-    which is a relative error in f.
+    ``fixed`` keeps the raw m-factor truncate f_m.  The tail modes,
+    ``tail_corrected`` and ``bracket``, evaluate the whole product, the
+    same number whatever m is: m sets ``m_used`` and the truncate f_m from
+    which ``bracket`` adds rigorous bounds.  Every mode costs O(10): see
+    :func:`log_head`.
     """
 
     mode: str = "tail_corrected"
     m: int = _DEFAULT_M
-    tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise DomainError(f"unknown truncation mode {self.mode!r}")
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
-        if not 0.0 < self.tol < 1.0:
-            raise DomainError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.mode == "adaptive" and self.m > _ADAPTIVE_M_MAX:
-            raise DomainError(f"adaptive mode takes m <= {_ADAPTIVE_M_MAX}, got {self.m}")
+        _check_m(self.m)
 
 
 @dataclass(frozen=True)
@@ -166,10 +158,11 @@ def log_product_tail(c: float, r1: float, r2: float, d: float, m: int) -> float:
     (k+r1)(k+r2) / [(k+r1+d)(k+r2-d)], that is u = r1+d and v = r2-d.
 
     The sum is lnG(m+1+r1+d) - lnG(m+1+r1) + lnG(m+1+r2-d) - lnG(m+1+r2),
-    evaluated by the Stirling series; :func:`tail_remainder` bounds the
-    error.  The two d ln(z+d) terms are joined into one log of a ratio, so
-    nothing of size d ln m cancels, and the ratio's gap (r1+d) - (r2-d) is
-    formed without the m offset.  Needs every m+1+r_i and m+1+r_i +- d
+    evaluated by the Stirling series, whose remainder at each argument z is
+    below its first omitted term |B_18| / (18 * 17) z^-17.  The two
+    d ln(z+d) terms are joined into one log of a ratio, so nothing of size
+    d ln m cancels, and the ratio's gap (r1+d) - (r2-d) is formed without
+    the m offset.  Needs every m+1+r_i and m+1+r_i +- d
     positive; ``c`` is only tested for 0, where every factor is 1.
     """
     if c == 0.0:
@@ -187,12 +180,6 @@ def log_product_tail(c: float, r1: float, r2: float, d: float, m: int) -> float:
         + (_stirling_sum(w1) - _stirling_sum(z1))
         + (_stirling_sum(w2) - _stirling_sum(z2))
     )
-
-
-def tail_remainder(r1: float, r2: float, d: float, m: int) -> float:
-    """Bound on the error of :func:`log_product_tail`: the first omitted
-    Stirling term at each of its four ln Gamma arguments."""
-    return _STIRLING_NEXT * sum((m + 1.0 + a) ** -17 for a in (r1, r1 + d, r2, r2 - d))
 
 
 def log_partial_product(c: float, u: float, v: float, m: int) -> float:
@@ -243,8 +230,7 @@ def shifted_product(first: float, c: float, u: float, v: float, roots: tuple[flo
     large log through exp.  ``DomainError`` if the product lies beyond the
     double range.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_m(m)
     log_rest = log_head(c, u, v, roots, m - 1, tail)
     value = first * _exp(log_rest)
     if not math.isfinite(value):
@@ -294,8 +280,7 @@ def _exp(log_value: float) -> float:
 
 def truncate(spec: JointFactorSpec, m: int) -> float:
     """The m-truncate f_m: the product of the first m factors, via logs."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_m(m)
     return _exp(_log_truncate(spec, m))
 
 
@@ -324,33 +309,17 @@ def _bracket(spec: JointFactorSpec, m: int, log_fm: float) -> tuple[float, float
     return _exp(log_fm - bound * d_next / (d_next - abs(c))), _exp(log_fm)
 
 
-def _adaptive_order(spec: JointFactorSpec, policy: TruncationPolicy) -> int:
-    """The head length adaptive mode uses: see :class:`TruncationPolicy`.
-    The tail after m factors is the shifted product's tail after m-1."""
-    roots = _shifted(spec)[3]
-    if tail_remainder(*roots, _ADAPTIVE_M_MAX - 1) > policy.tol:
-        raise ConvergenceError(
-            f"adaptive joint factor for (x={spec.x}, b={spec.b}) "
-            f"needs more than {_ADAPTIVE_M_MAX} terms at tol={policy.tol}"
-        )
-    m = max(policy.m, 16)  # at most _ADAPTIVE_M_MAX: the policy refuses a larger m
-    while tail_remainder(*roots, m - 1) > policy.tol:
-        m = min(4 * m, _ADAPTIVE_M_MAX)
-    return m
-
-
 def joint_factor(spec: JointFactorSpec, policy: TruncationPolicy = TruncationPolicy()) -> Estimate:
     """Estimate f(x, b) under the given truncation policy.
 
     b = 0 is the degenerate case f = 1 and returns immediately with
-    m_used = 0.  ``ConvergenceError`` is raised in adaptive mode when no
-    head up to ``_ADAPTIVE_M_MAX`` meets ``policy.tol``, ``DomainError`` when
-    f (or its bracket) lies beyond the double range.
+    m_used = 0.  ``DomainError`` when f (or its bracket) lies beyond the
+    double range.
     """
     bracket = policy.mode == "bracket"
     if spec.b == 0.0:
         return Estimate(1.0, 0.0, 0, 1.0, 1.0) if bracket else Estimate(1.0, 0.0, 0)
-    m = _adaptive_order(spec, policy) if policy.mode == "adaptive" else policy.m
+    m = policy.m
     if policy.mode == "fixed":
         log_fm = _log_truncate(spec, m)
         return Estimate(_exp(log_fm), log_fm, m)

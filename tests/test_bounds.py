@@ -9,8 +9,9 @@ import pytest
 from conftest import adaptive_simpson, app9_i1_crossing, grid
 from gammaprod import bounds
 from gammaprod.bounds import (
+    ALZER_ALPHA,
+    ALZER_BETA,
     MAX_GRID_POINTS,
-    AlzerConstants,
     _app8_margins,
     _stirling_mu,
     _stirling_v,
@@ -203,10 +204,9 @@ def test_app8_suite():
 # --- app9 ---------------------------------------------------------------
 
 def test_alzer_constants():
-    c = AlzerConstants()
-    assert c.alpha == pytest.approx(0.4227843351, abs=1e-10)
-    assert c.beta == pytest.approx(0.5338592, abs=1e-7)
-    assert c.alpha < c.beta
+    assert ALZER_ALPHA == pytest.approx(0.4227843351, abs=1e-10)
+    assert ALZER_BETA == pytest.approx(0.5338592, abs=1e-7)
+    assert ALZER_ALPHA < ALZER_BETA
 
 
 def test_app9_bound_values_at_half():
@@ -218,10 +218,9 @@ def test_app9_bound_values_at_half():
 
 
 def test_app9_k1_l1_closed_forms():
-    c = AlzerConstants()
     for x in (0.3, 0.45, 0.7, 2.0):
         k1, l1 = app9_refined(x, 1)
-        assert k1 == pytest.approx((SQRT_PI / (2.0 * x)) * (x + 0.5) ** (c.alpha * (x + 0.5)), rel=1e-12)
+        assert k1 == pytest.approx((SQRT_PI / (2.0 * x)) * (x + 0.5) ** (ALZER_ALPHA * (x + 0.5)), rel=1e-12)
         assert l1 == pytest.approx((SQRT_PI / (2.0 * x)) * (x + 0.5) ** (x + 0.5 - EULER_GAMMA), rel=1e-12)
 
 

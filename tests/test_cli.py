@@ -7,7 +7,6 @@ import time
 import pytest
 
 from gammaprod.cli import (
-    EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
@@ -358,34 +357,12 @@ def test_domain_error_exit(capsys):
     assert "finite" in err
 
 
-def test_convergence_error_exit(capsys):
-    # no head up to m_max = 10^7 brings the tail remainder (~m^-17) below 1e-200
-    code, _, err = invoke(capsys, "jointfactor", "--x", "0.25", "--b", "0.5", "--m", "16", "--tol", "1e-200")
-    assert code == EXIT_CONVERGENCE
-    assert "convergence error" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("jointfactor", "--x", "0.25", "--b", "0.5", "--tol", "1e-8"),
-        ("jointfactor", "--x", "0.25", "--b", "0.5", "--m", "16", "--tol", "1e-14"),
-        ("gamma", "--q", "1", "--p", "4", "--tol", "1e-10"),
-    ],
-)
-def test_adaptive_tolerances_are_met(capsys, argv):
-    code, out, _ = invoke(capsys, *argv)
-    assert code == EXIT_OK
-    assert json.loads(out)["rel_err_vs_oracle"] < 1e-13
-
-
 def test_gamma_reports_the_head_its_factors_used(capsys):
-    # adaptive mode picks each factor's head (at least 16); fixed and tail
-    # modes use --m for every factor
-    for extra, m_used in ((("--tol", "1e-14"), 16), ((), 1), (("--tail",), 1)):
+    # fixed and tail modes use --m for every factor
+    for extra in ((), ("--tail",)):
         code, out, _ = invoke(capsys, "gamma", "--q", "3", "--p", "7", "--m", "1", *extra)
         assert code == EXIT_OK
-        assert json.loads(out)["m_used"] == m_used, extra
+        assert json.loads(out)["m_used"] == 1, extra
 
 
 @pytest.mark.parametrize(
@@ -398,12 +375,38 @@ def test_gamma_reports_the_head_its_factors_used(capsys):
     ids=lambda argv: argv[0],
 )
 def test_heads_beyond_ten_million_are_accepted(capsys, argv):
-    # m_max caps only the adaptive search; the fixed and tail modes cost the
-    # same at any m
+    # the fixed and tail modes cost the same at any m up to 2^53
     for extra in ((), ("--tail",)):
         code, out, err = invoke(capsys, *argv, "--m", "100000000", *extra)
         assert code == EXIT_OK, err
         assert json.loads(out)["m_used"] == 100000000
+
+
+_HUGE_M = "1" + "0" * 400  # beyond the double range: m + 1.0 would overflow
+_HUGE_M_COMMANDS = [
+    ("jointfactor", "--x", "0.5", "--b", "0.3", "--m", _HUGE_M),
+    ("jointfactor", "--x", "0.5", "--b", "0.3", "--m", _HUGE_M, "--tail"),
+    ("gamma", "--q", "3", "--p", "7", "--m", _HUGE_M),
+    ("beta", "--x", "2.5", "--y", "0.5", "--m", _HUGE_M),
+    ("identity", "--name", "sin", "--x", "0.3", "--m", _HUGE_M),
+    ("convergence", "--target", "jointfactor", "--x", "0.5", "--b", "0.3", "--m-list", "1," + _HUGE_M),
+] + [("bounds", "--suite", suite, "--m", _HUGE_M) for suite in ("app6", "app7", "app8")]
+
+
+@pytest.mark.parametrize("argv", _HUGE_M_COMMANDS, ids=lambda argv: " ".join(argv).replace(_HUGE_M, "1e400"))
+def test_heads_beyond_two_to_the_53_are_domain_errors(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == "" and err.startswith("domain error:"), err
+    assert "2^53" in err
+
+
+def test_a_head_of_two_to_the_53_is_accepted(capsys):
+    for extra in ((), ("--tail",)):
+        code, out, err = invoke(capsys, "jointfactor", "--x", "0.5", "--b", "0.3", "--m", str(2**53), *extra)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["m_used"] == 2**53
+    code, _, err = invoke(capsys, "jointfactor", "--x", "0.5", "--b", "0.3", "--m", str(2**53 + 1))
+    assert code == EXIT_DOMAIN and "2^53" in err
 
 
 @pytest.mark.parametrize(
@@ -425,15 +428,6 @@ def test_negative_values_after_a_space_are_values(capsys, argv):
     assert code == EXIT_DOMAIN and out == "" and "domain error" in err
     joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
     assert invoke(capsys, *joined)[0] == EXIT_DOMAIN
-
-
-def test_adaptive_tolerance_success(capsys):
-    code, out, _ = invoke(capsys, "jointfactor", "--x", "0.25", "--b", "0.5", "--m", "16", "--tol", "1e-4")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["tail_corrected"] is True
-    assert payload["m_used"] >= 16
-    assert payload["rel_err_vs_oracle"] < 1e-6
 
 
 def test_usage_error_exit(capsys):
@@ -475,6 +469,7 @@ _UNREAD_FLAGS = [
     ("coeffs", "--m", "5"), ("coeffs", "--tail"), ("coeffs", "--tol", "1e-6"),
     ("digamma", "--m", "5"), ("digamma", "--tail"), ("digamma", "--tol", "1e-6"),
     ("trigamma", "--m", "5"), ("trigamma", "--tail"), ("trigamma", "--tol", "1e-6"),
+    ("gamma", "--tol", "1e-6"), ("jointfactor", "--tol", "1e-6"),
     ("beta", "--tol", "1e-12"), ("identity", "--tol", "1e-6"),
     ("bounds", "--tail"), ("bounds", "--tol", "1e-3"),
     ("convergence", "--m", "5"), ("convergence", "--tol", "1e-6"),

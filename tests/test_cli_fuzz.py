@@ -1,8 +1,8 @@
 """Property tests of the CLI's exit-code contract: any float arguments, finite
-or not, any head length up to 10^9, any bound suite over any grid ends, grid
-sizes and truncation orders up to 10^9, end in a documented exit code, with no
-traceback and no NaN in the JSON; a float reads the same after ``--f `` as
-after ``--f=``."""
+or not, any head length up to 10^9 or far beyond the double range, any bound
+suite over any grid ends, grid sizes and truncation orders up to 10^9 or far
+beyond, end in a documented exit code, with no traceback and no NaN in the
+JSON; a float reads the same after ``--f `` as after ``--f=``."""
 
 import contextlib
 import io
@@ -17,15 +17,15 @@ from gammaprod.cli import run
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-EXIT_CODES = {0, 1, 2, 3, 64}
+EXIT_CODES = {0, 1, 3, 64}
 floats = st.floats(allow_nan=True, allow_infinity=True)
-orders = st.integers(max_value=10**9)
+# heads up to 10^9, and from 2^53 (the largest accepted) to beyond the double range
+huge_orders = st.integers(min_value=2**53, max_value=10**400)
+orders = st.one_of(st.integers(max_value=10**9), huge_orders)
 # gamma fills one table of 2p-3 joint factors for each new denominator p up to
 # 1024 (tens of ms each) and exits 1 at once above it; q and p up to 10^4 cover
 # both sides of that cap
 fractions = st.integers(min_value=-10, max_value=10**4)
-# any float, and often one inside adaptive mode's (0, 1)
-tols = st.one_of(floats, st.floats(min_value=1e-300, max_value=0.9))
 # grid sizes around the defaults, plus one far beyond the 10^6-point cap (refused
 # before any point is evaluated)
 grid_points = st.one_of(st.integers(min_value=-5, max_value=3000), st.just(10**9))
@@ -33,7 +33,9 @@ grid_points = st.one_of(st.integers(min_value=-5, max_value=3000), st.just(10**9
 grid_ends = st.one_of(floats, st.floats(min_value=-2.0, max_value=120.0))
 # app6's, app7's and app8's bounds are truncates, O(1) per point in m, so
 # m up to 10^9 is quick
-suite_orders = st.one_of(st.integers(min_value=-3, max_value=200), st.integers(min_value=-3, max_value=10**9))
+suite_orders = st.one_of(
+    st.integers(min_value=-3, max_value=200), st.integers(min_value=-3, max_value=10**9), huge_orders
+)
 # often ascending and positive, else anything; digamma's raw series costs O(max m)
 m_lists = st.one_of(
     st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=4, unique=True).map(sorted),
@@ -66,7 +68,6 @@ argvs = st.one_of(
         flag("p", fractions),
         maybe(flag("m", orders)),
         maybe(st.just(["--tail"])),
-        maybe(flag("tol", tols)),
     ),
     st.tuples(
         st.just("jointfactor"),
@@ -74,7 +75,6 @@ argvs = st.one_of(
         flag("b", floats),
         maybe(flag("m", orders)),
         maybe(st.just(["--tail"])),
-        maybe(flag("tol", tols)),
     ),
     st.tuples(st.just("beta"), flag("x", floats), flag("y", floats), maybe(flag("m", orders)), maybe(st.just(["--tail"]))),
     st.tuples(
@@ -154,7 +154,6 @@ FLOAT_FLAGS = [
     ("trigamma", "t", []),
     ("jointfactor", "x", ["--b", "0.5"]),
     ("jointfactor", "b", ["--x", "0.5"]),
-    ("jointfactor", "tol", ["--x", "0.5", "--b", "0.5"]),
     ("identity", "x", ["--name", "sin"]),
     ("identity", "b", ["--name", "pow2"]),
     ("bounds", "lo", ["--suite", "app10", "--points", "20"]),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_pairs
+from gammaprod.bounds import app7_ball_ratio, app8_wallis
 from gammaprod.errors import DomainError
 from gammaprod.gamma import (
     RationalArgument,
@@ -288,10 +289,32 @@ def test_gamma_ratio_under_a_fixed_policy_is_continuous_across_fractions(x):
 
 
 def test_m_used_is_the_longest_factor_head():
-    assert gamma_rational(RationalArgument(3, 7), TruncationPolicy(mode="fixed", m=1000)).m_used == 1000
-    adaptive = TruncationPolicy(mode="adaptive", m=1, tol=1e-14)
-    assert gamma_rational(RationalArgument(3, 7), adaptive).m_used == 16
+    # every factor uses the policy's head, in every mode
+    for mode in ("fixed", "tail_corrected", "bracket"):
+        for m in (1, 10, 1000, 2**53):
+            assert gamma_rational(RationalArgument(3, 7), TruncationPolicy(mode=mode, m=m)).m_used == m
     assert gamma_rational(RationalArgument(1, 2)).m_used == 0  # exact anchor, no factors
+
+
+_POLICY_ENTRY_POINTS = {
+    "gamma_rational": lambda pol: gamma_rational(RationalArgument(5, 12), pol).value,
+    "gamma_inv_p_pow": lambda pol: gamma_inv_p_pow(7, pol),
+    "gamma_ratio": lambda pol: gamma_ratio(1.7, 0.3, pol),
+    "gamma_duplication": lambda pol: gamma_duplication(2.3, pol),
+    "gamma_negative": lambda pol: gamma_negative(RationalArgument(2, 5), pol),
+    "beta": lambda pol: beta(2.5, 0.6, pol),
+    "app7_ball_ratio": lambda pol: app7_ball_ratio(7, pol),
+    "app8_wallis": lambda pol: app8_wallis(0.7, pol),
+}
+
+
+@pytest.mark.parametrize("mode", ["tail_corrected", "bracket"])
+@pytest.mark.parametrize("name", list(_POLICY_ENTRY_POINTS))
+def test_a_tail_mode_gives_one_number_at_every_entry_point(name, mode):
+    # every tail mode sums ten factors and the exact tail after them, so m
+    # moves no bit of any value a policy reaches
+    values = {_POLICY_ENTRY_POINTS[name](TruncationPolicy(mode=mode, m=m)) for m in (1, 10, 1000, 2**53)}
+    assert len(values) == 1, values
 
 
 def test_rational_path_is_thread_safe():

@@ -1,6 +1,7 @@
 """Joint-factor product: truncates, monotone bracketing, tail correction,
-series route, and the adaptive policy."""
+series route, and the truncation policy."""
 
+import dataclasses
 import math
 import time
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid
-from gammaprod.errors import ConvergenceError, DomainError
+from gammaprod.errors import DomainError
 from gammaprod.jointfactor import (
     Estimate,
     JointFactorSpec,
@@ -179,33 +180,19 @@ def test_series_product_agreement_where_series_converges():
         assert series == pytest.approx(product, rel=1e-3)
 
 
-def test_adaptive_mode():
-    est = joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=16, tol=1e-6))
-    assert est.tail_corrected
-    assert abs(est.value - oracle_f(0.25, 0.5)) <= 1e-8
-    # the stopping rule is the exact tail's remainder bound, so a tight tol
-    # needs only a short head
-    est = joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=16, tol=1e-12))
-    assert est.m_used == 16
-    assert abs(est.value - oracle_f(0.25, 0.5)) <= 1e-12 * oracle_f(0.25, 0.5)
-    # truly infeasible: even a head of 10^7 factors leaves a Stirling
-    # remainder (~m^-17) far above tol
-    with pytest.raises(ConvergenceError):
-        joint_factor(JointFactorSpec(0.25, 0.5), TruncationPolicy(mode="adaptive", m=1, tol=1e-200))
-
-
 def test_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(mode="nope")
     with pytest.raises(DomainError):
         TruncationPolicy(m=0)
     with pytest.raises(DomainError):
-        TruncationPolicy(tol=2.0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(mode="adaptive", m=10**7 + 1)
-    # 10^7 caps only adaptive mode's search; the other modes cost O(10) at any m
+        TruncationPolicy(mode="adaptive")
+    assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["mode", "m"]
+    # every mode costs O(10) at any m up to 2^53, beyond which m + 1 is not exact
     for mode in ("fixed", "tail_corrected", "bracket"):
-        assert TruncationPolicy(mode=mode, m=10**8).m == 10**8
+        assert TruncationPolicy(mode=mode, m=2**53).m == 2**53
+        with pytest.raises(DomainError, match=r"\[1, 2\^53\]"):
+            TruncationPolicy(mode=mode, m=2**53 + 1)
 
 
 def test_spec_validation():
@@ -253,7 +240,9 @@ def test_log_head_with_tail_is_the_whole_product(c, u, v, roots, m):
     mp.dps = 40
     r1, r2, d = (mp.mpf(r) for r in roots)
     want = float(mp.loggamma(1 + r1 + d) + mp.loggamma(1 + r2 - d) - mp.loggamma(1 + r1) - mp.loggamma(1 + r2))
-    remainder = jointfactor.tail_remainder(*roots, 10)
+    # the first omitted Stirling term, |B_18| / (18 * 17) z^-17, at each of
+    # the tail's four ln Gamma arguments z = 11 + a
+    remainder = float(43867 / 244188 * sum((11 + a) ** -17 for a in (r1, r1 + d, r2, r2 - d)))
     assert abs(log_head(c, u, v, roots, m, tail=True) - want) <= remainder + 1e-14 * abs(want) + 1e-16
 
 
@@ -264,11 +253,9 @@ def test_tail_modes_evaluate_one_product_whatever_m(x, b):
     spec = JointFactorSpec(x, b)
     logs = {
         joint_factor(spec, TruncationPolicy(mode=mode, m=m)).log_value
-        for mode in ("tail_corrected", "bracket", "adaptive")
-        for m in (*range(1, 12), 1000, 10**7)
+        for mode in ("tail_corrected", "bracket")
+        for m in (*range(1, 12), 1000, 10**7, 10**9, 2**53)
     }
-    for mode in ("tail_corrected", "bracket"):  # adaptive refuses m above 10^7
-        logs.add(joint_factor(spec, TruncationPolicy(mode=mode, m=10**9)).log_value)
     assert len(logs) == 1
 
 
@@ -282,8 +269,8 @@ def test_no_head_sums_more_than_ten_factors(monkeypatch):
     monkeypatch.setattr(jointfactor, "log_partial_product", recording)
     gamma.clear_factor_cache()
     spec = JointFactorSpec(0.3, 0.2)
-    for mode in ("fixed", "tail_corrected", "bracket", "adaptive"):
-        joint_factor(spec, TruncationPolicy(mode=mode, m=10**6, tol=1e-9))
+    for mode in ("fixed", "tail_corrected", "bracket"):
+        joint_factor(spec, TruncationPolicy(mode=mode, m=10**6))
     truncate(spec, 10**9)
     gamma.beta(2.5, 0.6, TruncationPolicy(mode="fixed", m=10**6))
     gamma.beta_partial(2.5, 0.6, 10**6)
