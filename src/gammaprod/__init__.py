@@ -1,7 +1,7 @@
 """Gamma, Beta, digamma and trigamma through accelerated infinite products,
 with independent reference oracles and an inequality verification harness."""
 
-from .bounds import App1Result, BoundReport, StirlingDecomposition, verify_suite
+from .bounds import App1Result, BoundReport, verify_suite
 from .coeffs import CoeffTable, DerivTable, g_sequence, g_sequence_oracle, h_closed, h_sequence, pochhammer
 from .errors import DomainError
 from .gamma import (
@@ -17,7 +17,7 @@ from .gamma import (
 from .identities import IdentityCheck, check_identity, gamma_quarter_squared, pow2_product, sin_product, tan_product
 from .jointfactor import Estimate, JointFactorSpec, TruncationPolicy, joint_factor, joint_factor_series, truncate
 from .polygamma import PolygammaResult, digamma, digamma_series_raw, trigamma, zeta_tail
-from .reference import EULER_GAMMA, OracleConfig, ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma, ref_zeta
+from .reference import EULER_GAMMA, ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma, ref_zeta
 
 __version__ = "0.1.0"
 
@@ -32,10 +32,8 @@ __all__ = [
     "GammaValue",
     "IdentityCheck",
     "JointFactorSpec",
-    "OracleConfig",
     "PolygammaResult",
     "RationalArgument",
-    "StirlingDecomposition",
     "TruncationPolicy",
     "beta",
     "check_identity",

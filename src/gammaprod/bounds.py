@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 
 from .errors import DomainError
 from .gamma import beta_partial
-from .jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, truncate
+from .jointfactor import _STIRLING, JointFactorSpec, TruncationPolicy, joint_factor, truncate
 from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -40,18 +40,10 @@ MAX_GRID_POINTS = 10**6
 ALZER_ALPHA = 1.0 - EULER_GAMMA
 ALZER_BETA = (math.pi * math.pi - 6.0 * EULER_GAMMA) / 12.0
 
-
-@dataclass(frozen=True)
-class StirlingDecomposition:
-    """Stirling remainder mu(x) and the half-shift remainder v(x):
-
-    Gamma(x)     = sqrt(2 pi) x^{x-1/2} e^{-x} e^{mu(x)}
-    Gamma(x+1/2) = sqrt(2 pi) x^x       e^{-x} e^{v(x)}
-    """
-
-    x: float
-    mu: float
-    v: float
+# v(x)'s series coefficients (2^(1-2j) - 1) B_2j/(2j(2j-1)) (DLMF 5.11.8, h = 1/2).
+_V_COEF = tuple((2.0 ** (1 - 2 * j) - 1.0) * c for j, c in enumerate(_STIRLING, 1))
+# Above this, v's Schuster margin 1/(360 x^3) falls toward v's own rounding.
+_V_X_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -208,27 +200,23 @@ def app9_refined(x: float, m: int) -> tuple[float, float]:
     return _SQRT_PI * a / fm, _SQRT_PI * e / fm
 
 
-def _finite_remainder(value: float, x: float) -> float:
-    if not math.isfinite(value):  # ln Gamma and x ln x overflow from x ~ 2.5e305 on
-        raise DomainError(f"the Stirling terms exceed the double range at x = {x!r}")
-    return value
-
-
 def _stirling_mu(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    return _finite_remainder(ref_log_gamma(x) - (0.5 * _LN_2PI + (x - 0.5) * math.log(x) - x), x)
+    """mu(x) in Gamma(x) = sqrt(2 pi) x^{x-1/2} e^{-x} e^{mu(x)}, from the oracle."""
+    return ref_log_gamma(x) - (0.5 * _LN_2PI + (x - 0.5) * math.log(x) - x)
 
 
 def _stirling_v(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    return _finite_remainder(ref_log_gamma(x + 0.5) - (0.5 * _LN_2PI + x * math.log(x) - x), x)
-
-
-def app10_stirling(x: float) -> StirlingDecomposition:
-    """mu(x) and v(x) from the reference oracle."""
-    return StirlingDecomposition(x, _stirling_mu(x), _stirling_v(x))
+    """v(x) in Gamma(x+1/2) = sqrt(2 pi) x^x e^{-x} e^{v(x)}: the oracle's difference
+    below 10, and v's own series from 10 on, where that difference of logs ~ x ln x
+    would round away the 1/(360 x^3) margins of Schuster's bounds."""
+    if not 0.0 < x <= _V_X_MAX:
+        raise DomainError(f"app10 resolves v(x) for 0 < x <= 1e6 only, got x = {x!r}")
+    if x < 10.0:
+        return ref_log_gamma(x + 0.5) - (0.5 * _LN_2PI + x * math.log(x) - x)
+    t, s = 1.0 / (x * x), 0.0
+    for c in reversed(_V_COEF):
+        s = s * t + c
+    return s / x
 
 
 def schuster_bounds(x: float) -> tuple[float, float]:

@@ -293,9 +293,16 @@ def _do_beta(args) -> tuple[Any, int]:
     return payload, EXIT_OK
 
 
+def _in_range(flag: str, value: int, top: int) -> int:
+    """``value`` if in [1, top], else a DomainError naming the flag the user typed."""
+    if not 1 <= value <= top:
+        raise DomainError(f"{flag} must lie in [1, {top}], got {value}")
+    return value
+
+
 def _do_identity(args) -> tuple[Any, int]:
     if args.name == "quarter":
-        partials = ident_mod.quarter_partials(args.m)
+        partials = ident_mod.quarter_partials(_in_range("--m", args.m, ident_mod.QUARTER_M_MAX))
         classical, new = partials[0][-1], partials[1][-1]
         ref = ident_mod.quarter_reference()
         ahead = all(abs(c - ref) <= abs(n - ref) for c, n in zip(*partials))
@@ -348,7 +355,7 @@ def _parse_m_list(text: str) -> list[int]:
         ms = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad --m-list: {exc}")
-    if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
+    if not ms or ms[0] < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
         raise _UsageError("--m-list must be ascending positive integers")
     return ms
 
@@ -357,7 +364,7 @@ def _do_convergence(args) -> tuple[Any, int]:
     ms = _parse_m_list(args.m_list)
     rows: list[list[Any]] = []
     if args.target == "quarter":
-        classical, new = ident_mod.quarter_partials(ms[-1])
+        classical, new = ident_mod.quarter_partials(_in_range("--m-list", ms[-1], ident_mod.QUARTER_M_MAX))
         ref = ident_mod.quarter_reference()
         header = ["m", "classical", "classical_abs_err", "new", "new_abs_err"]
         for m in ms:
@@ -379,6 +386,7 @@ def _do_convergence(args) -> tuple[Any, int]:
     else:
         if args.t is None:
             raise _UsageError("convergence --target digamma needs --t")
+        _in_range("--m-list", ms[-1], poly_mod.RAW_SERIES_N_MAX)
         oracle = ref_digamma(args.t)
         header = ["n0", "raw", "raw_abs_err", "accelerated", "accelerated_abs_err"]
         for m in ms:

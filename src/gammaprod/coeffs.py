@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
@@ -124,25 +123,6 @@ def g_sequence_oracle(x: float, b: float, N: int) -> CoeffTable:
     return CoeffTable(x, b, N, _finite(g, x, N))
 
 
-def g_sequence_exact(x: Fraction, b: Fraction, N: int) -> list[Fraction]:
-    """Exact big-rational version of the convolution oracle (test use only).
-
-    Practical up to N ~ 30; the rationals grow quickly beyond that.
-    """
-    _validate(float(x), float(b), N)
-    a = Fraction(1) - x - b
-    c = [Fraction(1)]
-    for n in range(1, N + 1):
-        c.append(c[n - 1] * (a + n - 1) * (b + n - 1) / (n * n))
-    g: list[Fraction] = []
-    for n in range(1, N + 1):
-        acc = n * c[n]
-        for j in range(1, n):
-            acc -= j * g[j - 1] * c[n - j]
-        g.append(acc / n)
-    return g
-
-
 def pochhammer(b: float, n: int) -> float:
     """Rising factorial (b)_n = b (b+1) ... (b+n-1), by direct product."""
     if n < 0:
@@ -172,11 +152,6 @@ def h_sequence(b: float, N: int) -> DerivTable:
     for n in range(1, N):
         h.append(n * (n + b) * h[n - 1] / ((n + 1.0) * (n + 1.0)))
     return DerivTable(b, N, tuple(h))
-
-
-def g2_closed_form(x: float, b: float) -> float:
-    """The printed closed form of g_2, used as a recursion self-check."""
-    return b * (1.0 - b - x) * ((b - 1.0) * x + b * b - b + 2.0) / 4.0
 
 
 def sum_g(table: CoeffTable | Sequence[float]) -> float:

@@ -1,5 +1,6 @@
-"""Shared test helpers: an independent adaptive quadrature, common grids and
-the closed-form crossing of app9's K1 >= A refinement claim."""
+"""Shared test helpers: an independent adaptive quadrature, common grids, the
+printed closed form of g_2 and the closed-form crossing of app9's K1 >= A
+refinement claim."""
 
 from __future__ import annotations
 
@@ -29,6 +30,11 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     fa, fm, fb = f(a), f(mid), f(b)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
     return node(a, fa, mid, fm, b, fb, whole, tol, max_depth)
+
+
+def g2_closed_form(x: float, b: float) -> float:
+    """The paper's printed closed form of g_2, a check on the recursion."""
+    return b * (1.0 - b - x) * ((b - 1.0) * x + b * b - b + 2.0) / 4.0
 
 
 def reduced_pairs(p_max: int = 12):

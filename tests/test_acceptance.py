@@ -14,10 +14,10 @@ import time
 
 import pytest
 
-from conftest import adaptive_simpson, app9_i1_crossing, grid, reduced_pairs
+from conftest import adaptive_simpson, app9_i1_crossing, g2_closed_form, grid, reduced_pairs
 from gammaprod.bounds import uniform_grid, verify_suite
 from gammaprod.cli import run
-from gammaprod.coeffs import g2_closed_form, g_sequence, g_sequence_oracle
+from gammaprod.coeffs import g_sequence, g_sequence_oracle
 from gammaprod.gamma import RationalArgument, gamma_duplication, gamma_rational
 from gammaprod.identities import (
     check_identity,

@@ -1,6 +1,8 @@
 """Bound families and the verification suites, including the documented
 counterexamples to the two claimed refinement intervals."""
 
+import functools
+import json
 import math
 import time
 
@@ -8,6 +10,7 @@ import pytest
 
 from conftest import adaptive_simpson, app9_i1_crossing, grid
 from gammaprod import bounds
+from gammaprod.cli import run
 from gammaprod.bounds import (
     ALZER_ALPHA,
     ALZER_BETA,
@@ -25,7 +28,6 @@ from gammaprod.bounds import (
     app9_alzer,
     app9_refined,
     app10_mu_lower,
-    app10_stirling,
     app10_truncate_rhs,
     schuster_bounds,
     uniform_grid,
@@ -339,28 +341,26 @@ def test_app9_i1_report_follows_its_grid():
 
 def test_app10_stirling_invariants():
     for x in grid(0.05, 50.0, 200):
-        dec = app10_stirling(x)
-        assert 0.0 < dec.mu < 1.0 / (12.0 * x)
+        assert 0.0 < _stirling_mu(x) < 1.0 / (12.0 * x)
 
 
 def test_app10_v_identity_via_joint_factor():
     for x in grid(0.05, 50.0, 40):
-        dec = app10_stirling(x)
         f = joint_factor(JointFactorSpec(x, 0.5)).value
-        want = dec.mu + math.log(f / math.sqrt(math.pi * x))
-        assert dec.v == pytest.approx(want, abs=1e-9)
+        want = _stirling_mu(x) + math.log(f / math.sqrt(math.pi * x))
+        assert _stirling_v(x) == pytest.approx(want, abs=1e-9)
 
 
 def test_app10_v_at_one():
-    dec = app10_stirling(1.0)
-    assert dec.v == pytest.approx(math.log(ref_gamma(1.5)) - 0.5 * math.log(2.0 * math.pi) + 1.0, abs=1e-12)
-    assert dec.v == pytest.approx(-0.0397, abs=1e-4)
+    v = _stirling_v(1.0)
+    assert v == pytest.approx(math.log(ref_gamma(1.5)) - 0.5 * math.log(2.0 * math.pi) + 1.0, abs=1e-12)
+    assert v == pytest.approx(-0.0397, abs=1e-4)
 
 
 def test_app10_schuster_bounds_hold():
     for x in grid(0.05, 50.0, 500):
         lo, hi = schuster_bounds(x)
-        assert lo <= app10_stirling(x).v <= hi
+        assert lo <= _stirling_v(x) <= hi
 
 
 def test_app10_polynomial_probe_value():
@@ -386,7 +386,7 @@ def test_app10_mu_lower_bound_window():
     for x in grid(0.144, 0.4995, 200):
         lb = app10_mu_lower(x)
         assert lb > 0.0
-        assert app10_stirling(x).mu > lb
+        assert _stirling_mu(x) > lb
 
 
 def test_app10_suite():
@@ -422,7 +422,7 @@ def test_uniform_grid_endpoints():
 _DEFAULT_REPORTS = {
     "app1": (0, "0x1.4966fad991fe0p-4", "app1: p in [3, 12] x10",
              ("positive-argument bound direction verified: ['lower'] (upper-bound reading fails)",)),
-    "app5": (0, "0x1.bb5544b4a4000p-12", "app5: alpha in [0.001, 0.999] x1000", ()),
+    "app5": (0, "0x1.bb5544b4a7000p-12", "app5: alpha in [0.001, 0.999] x1000", ()),
     "app6": (0, "0x1.674c59d316738p-4", "app6: y in [0.1, 0.9] x9, xs = (0.25, 0.5, 2.0, 4.0), ms = (1, 2, 5)", ()),
     "app7": (0, "0x1.12e0be826d695p-30", "app7: n in [1, 50] x50, s = 5, m = 5, eq_tol = 1e-09",
              ("n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)",)),
@@ -439,7 +439,7 @@ _DEFAULT_REPORTS = {
               "K1(0.3) = 2.739341 < A(0.3) = 2.861273; L1(1.562) = 1.661555 > E(1.562) = 0.993237",
               "K1 >= A on [0.241,0.5): 681/999 points violate (worst margin -0.24167)",
               "L1 <= E on [1.562,100]: 1000/1000 points violate (worst margin -9.52163e+197)")),
-    "app10": (0, "0x1.7dbb8c9830000p-26",
+    "app10": (0, "0x1.7dbb8cb598000p-26",
               "app10: x in [0.05, 50] x1000; app10_improvement: x in [0.0001, 0.49995] x9999; "
               "app10_remark: x in [0.144, 0.499644] x999", ()),
 }
@@ -567,9 +567,88 @@ def test_overflowing_bounds_are_domain_errors():
 
 
 def test_app10_stirling_halves_are_the_decomposition():
-    for x in (1e-3, 0.3, 1.0, 7.5, 1e3):
-        dec = app10_stirling(x)
-        assert (dec.mu, dec.v) == (_stirling_mu(x), _stirling_v(x))
+    # mu and v against their definitions at 50 digits: Gamma(x) = sqrt(2 pi) x^{x-1/2} e^{-x} e^{mu}
+    # and Gamma(x+1/2) = sqrt(2 pi) x^x e^{-x} e^{v}.  mu, and v below 10, are the oracle's
+    # differences, so their error is absolute (~eps ln Gamma); from 10 on v is its own series,
+    # accurate relative to v.
+    mp = pytest.importorskip("mpmath")
+    for x in (1e-3, 0.3, 1.0, 7.5, 9.999999, 10.0, 10.5, 1e3, 1e6):
+        with mp.workdps(50):
+            xm, ln_sqrt_2pi = mp.mpf(x), mp.log(2 * mp.pi) / 2
+            mu = mp.loggamma(xm) - (ln_sqrt_2pi + (xm - 0.5) * mp.log(xm) - xm)
+            v = mp.loggamma(xm + 0.5) - (ln_sqrt_2pi + xm * mp.log(xm) - xm)
+        assert float(abs(_stirling_mu(x) - mu)) <= 4e-15 * max(1.0, abs(math.lgamma(x))), x
+        err_v = float(abs(_stirling_v(x) - v))
+        assert err_v <= (4e-15 if x < 10.0 else 1e-15 * float(abs(v))), x
     for half in (_stirling_mu, _stirling_v):
         with pytest.raises(DomainError):
             half(0.0)
+    with pytest.raises(DomainError, match="1e6"):
+        _stirling_v(1e6 * (1 + 2**-52))
+
+
+def _mp_app10_v_margins(mp, hi):
+    """Margins of app10's first check, on its default grid ending at ``hi``."""
+    half = mp.mpf(1) / 2
+    out = []
+    for x in map(mp.mpf, uniform_grid(0.05, hi, 1000)):
+        v = mp.loggamma(x + half) - (mp.log(2 * mp.pi) / 2 + x * mp.log(x) - x)
+        lower, upper = -(1 / x + 1 / (120 * x**3)) / 24, -(1 / x - 1 / (8 * x**3)) / 24
+        rhs = mp.log(4 * mp.sqrt(x) / ((1 + 2 * x) * mp.sqrt(mp.pi)))
+        out += [v - lower, upper - v]
+        if x != half:  # the suite's two truncate claims leave x = 1/2 out
+            out.append(1 / (12 * x) + rhs - v if x < half else v - rhs)
+    return out
+
+
+@functools.cache
+def _mp_app10_fixed_worst(mp):
+    """Least margin of app10's second and third checks, whose grids are fixed."""
+    half = mp.mpf(1) / 2
+    rhs = lambda x: mp.log(4 * mp.sqrt(x) / ((1 + 2 * x) * mp.sqrt(mp.pi)))
+    out = []
+    for x in map(mp.mpf, uniform_grid(1e-4, 0.5, 10000, include_hi=False)):
+        out.append(-(1 / x - 1 / (8 * x**3)) / 24 - (1 / (12 * x) + rhs(x)))
+    for x in map(mp.mpf, uniform_grid(0.144, 0.5, 1000, include_hi=False)):
+        lb = -(1 / x + 1 / (120 * x**3)) / 24 - rhs(x)
+        out += [lb, mp.loggamma(x) - (mp.log(2 * mp.pi) / 2 + (x - half) * mp.log(x) - x) - lb]
+    return min(out)
+
+
+def _mp_app10_worst(hi=50.0):
+    """app10's worst margin at 50 digits, its first grid ending at ``hi``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return min(_mp_app10_fixed_worst(mpmath.mp), *_mp_app10_v_margins(mpmath.mp, hi))
+
+
+def test_pinned_margins_moved_toward_mpmath():
+    # the stdlib oracle and v's own series moved app5's and app10's default worst
+    # margins; each is closer to a 50-digit recomputation than the Lanczos-oracle pin
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        app5 = min(1 / mpmath.mpf(a) - mpmath.gamma(a) for a in uniform_grid(0.001, 0.999, 1000))
+    for suite, exact, old_hex, tol in (("app5", app5, "0x1.bb5544b4a4000p-12", 5e-13),
+                                       ("app10", _mp_app10_worst(), "0x1.7dbb8c9830000p-26", 1e-11)):
+        new = float.fromhex(_DEFAULT_REPORTS[suite][1])
+        err_new = float(abs(new / exact - 1))
+        assert err_new <= tol
+        assert err_new < float(abs(float.fromhex(old_hex) / exact - 1))
+
+
+@pytest.mark.parametrize("hi", ["1e3", "5e3", "1e5", "1e6"])
+def test_app10_holds_up_to_a_million(capsys, hi):
+    # v(x) from its series keeps Schuster's 1/(360 x^3) margins; its oracle
+    # difference reported 663 false violations at --hi 5e3
+    code = run(["bounds", "--suite", "app10", "--hi", hi])
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["violations"]) == (0, 0)
+    exact = _mp_app10_worst(float(hi))
+    assert abs(payload["worst_margin"] / float(exact) - 1.0) <= 1e-2
+
+
+def test_app10_beyond_a_million_is_a_domain_error(capsys):
+    code = run(["bounds", "--suite", "app10", "--hi", "2e6"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert "1e6" in out.err

@@ -342,6 +342,20 @@ def test_convergence_digamma(capsys):
 def test_convergence_mlist_validation(capsys):
     code, _, err = invoke(capsys, "convergence", "--target", "quarter", "--m-list", "10,5")
     assert code == EXIT_USAGE
+    code, out, err = invoke(capsys, "convergence", "--target", "quarter", "--m-list", "0,5")
+    assert (code, out) == (EXIT_USAGE, "")  # m = 0 read the last partial as its row
+
+
+@pytest.mark.parametrize("argv, flag, internal", [
+    (("identity", "--name", "quarter", "--m", "2000000"), "--m", "m_max"),
+    (("convergence", "--target", "digamma", "--t", "0.3", "--m-list", "1,2000000"), "--m-list", "N must"),
+    (("convergence", "--target", "quarter", "--m-list", "1,2000000"), "--m-list", "m_max"),
+])
+def test_range_errors_name_the_flag_typed(capsys, argv, flag, internal):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert f"{flag} must lie in [1, 1000000], got 2000000" in err
+    assert internal not in err
 
 
 def test_domain_error_exit(capsys):

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import g2_closed_form
 from gammaprod.coeffs import (
     DerivTable,
-    g2_closed_form,
     g_sequence,
-    g_sequence_exact,
     g_sequence_oracle,
     h_closed,
     h_sequence,
@@ -77,6 +76,20 @@ def test_two_routes_agree_at_third_third():
     orc = g_sequence_oracle(1.0 / 3.0, 1.0 / 3.0, 40).g
     for gr, go in zip(rec, orc):
         assert abs(gr - go) <= 1e-10 * max(1.0, abs(go))
+
+
+def g_sequence_exact(x: Fraction, b: Fraction, N: int) -> list[Fraction]:
+    """The convolution oracle in exact rationals: c_0 = 1,
+    c_n = c_{n-1} (a + n - 1)(b + n - 1) / n^2 with a = 1 - x - b, and
+    g_n = (n c_n - sum_{j<n} j g_j c_{n-j}) / n.  Practical up to N ~ 30."""
+    a = 1 - x - b
+    c = [Fraction(1)]
+    for n in range(1, N + 1):
+        c.append(c[n - 1] * (a + n - 1) * (b + n - 1) / (n * n))
+    g: list[Fraction] = []
+    for n in range(1, N + 1):
+        g.append((n * c[n] - sum(j * g[j - 1] * c[n - j] for j in range(1, n))) / n)
+    return g
 
 
 def test_exact_fraction_oracle_agrees_with_float_recursion():

@@ -1,8 +1,9 @@
-"""Import layering: the product path does not borrow from the oracle.
+"""Import layering: the product path and the oracle share no code.
 
 Agreement between a product value and ``gammaprod.reference`` is evidence
 only while the two share no code, so the modules listed here must not
-import from it.
+import from it, and the oracle imports nothing from the package but its
+error type.
 """
 
 import ast
@@ -47,3 +48,39 @@ def test_the_guard_sees_every_spelling():
     )
     assert _reference_imports("\n".join(spellings)) == [1, 2, 3, 4, 5]
     assert _reference_imports("from .jointfactor import joint_factor\nimport math") == []
+
+
+def _package_imports(source: str) -> set[str]:
+    """The gammaprod modules ``source`` imports from, in any spelling; the
+    package itself is "gammaprod"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.level >= 1:
+                found |= {node.module.split(".")[0]} if node.module else names
+            elif node.module == "gammaprod":
+                found |= names
+            elif node.module and node.module.startswith("gammaprod."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] if "." in alias.name else alias.name
+                      for alias in node.names if alias.name.split(".")[0] == "gammaprod"}
+    return found
+
+
+def test_the_oracle_imports_only_the_error_type():
+    assert _package_imports((SRC / "reference.py").read_text()) == {"errors"}
+
+
+def test_the_converse_guard_sees_every_spelling():
+    spellings = (
+        "from .jointfactor import _STIRLING",
+        "from . import gamma",
+        "from gammaprod.polygamma import digamma",
+        "from gammaprod import coeffs",
+        "import gammaprod.bounds",
+        "import gammaprod",
+        "import math\nfrom fractions import Fraction",
+    )
+    assert _package_imports("\n".join(spellings)) == {"jointfactor", "gamma", "polygamma", "coeffs", "bounds", "gammaprod"}

@@ -15,7 +15,7 @@ from gammaprod.gamma import RationalArgument, beta, gamma_duplication, gamma_neg
 from gammaprod.identities import pow2_product, sin_product, tan_product
 from gammaprod.jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, truncate
 from gammaprod.polygamma import digamma, trigamma
-from gammaprod.reference import ref_digamma, ref_log_gamma, ref_trigamma
+from gammaprod.reference import ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -293,3 +293,20 @@ def test_reference_log_gamma_at_tiny_x():
     rng = random.Random(20077)
     for x in [log_uniform(rng, 1e-300, 0.5) for _ in range(300)] + [1e-300, 1e-20, 0.49]:
         assert rel_err(ref_log_gamma(x), mp.loggamma(mp.mpf(x))) <= 1e-15
+
+
+def test_reference_log_gamma_over_the_double_range():
+    # error / max(1, |ln Gamma|): relative where |ln Gamma| >= 1, absolute near its zeros at 1 and 2
+    rng = random.Random(20071202)
+    xs = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3000)] + [1e-300, 0.5, 1.0, 2.0, 1e300]
+    xs += [c + rng.uniform(-1e-3, 1e-3) for c in (1.0, 2.0) for _ in range(200)]
+    for x in xs:
+        exact = mp.loggamma(mp.mpf(x))
+        assert float(abs(ref_log_gamma(x) - exact)) <= 2e-15 * max(1.0, float(abs(exact))), x
+
+
+def test_reference_gamma_up_to_its_overflow():
+    rng = random.Random(20071203)
+    xs = [rng.uniform(1e-3, 171.0) for _ in range(2000)] + [log_uniform(rng, 1e-3, 171.0) for _ in range(1000)]
+    for x in xs + [1e-3, 0.5, 1.0, 171.0]:
+        assert rel_err(ref_gamma(x), mp.gamma(mp.mpf(x))) <= 1e-15, x
