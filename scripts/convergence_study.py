@@ -5,7 +5,8 @@ Reproduces three comparisons as CSV on stdout:
   1. the two [Gamma(1/4)]^2 partial products (the older product stays ahead
      at every truncation order, the newer one uses only rational factors),
   2. raw vs tail-corrected truncation of the joint factor f(1/3, 1/3),
-  3. raw series vs zeta-tail acceleration for psi(1/2).
+  3. raw series vs the accelerated psi(1/2), ten head terms plus the
+     exact tail psi(10+t) - psi(11).
 
 Usage: python scripts/convergence_study.py [--m-list 1,10,100,1000,10000]
 """

@@ -15,7 +15,8 @@ from .gamma import (
     gamma_rational,
 )
 from .identities import IdentityCheck, check_identity, gamma_quarter_squared, pow2_product, sin_product, tan_product
-from .jointfactor import Estimate, JointFactorSpec, TruncationPolicy, joint_factor, joint_factor_series, truncate
+from .jointfactor import Estimate, JointFactorSpec, TruncationPolicy, joint_factor, joint_factor_bracket
+from .jointfactor import joint_factor_series, truncate
 from .polygamma import PolygammaResult, digamma, digamma_series_raw, trigamma, zeta_tail
 from .reference import EULER_GAMMA, ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma, ref_zeta
 
@@ -50,6 +51,7 @@ __all__ = [
     "h_closed",
     "h_sequence",
     "joint_factor",
+    "joint_factor_bracket",
     "joint_factor_series",
     "pochhammer",
     "pow2_product",

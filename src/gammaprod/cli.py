@@ -21,7 +21,7 @@ from . import identities as ident_mod
 from . import polygamma as poly_mod
 from .errors import DomainError
 from .gamma import RationalArgument, beta, gamma_rational
-from .jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, truncate
+from .jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, joint_factor_bracket
 from .reference import ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma
 
 EXIT_OK = 0
@@ -184,17 +184,21 @@ def _rel_err(log_value: float, log_oracle: float | None) -> float | None:
     return None if log_oracle is None else abs(math.expm1(log_value - log_oracle))
 
 
-def _estimate_payload(op: str, inputs: dict, est, rel_err: float | None) -> dict:
-    out: dict[str, Any] = {"op": op, **inputs}
-    out["value"] = est.value
-    out["log_value"] = est.log_value
-    out["m_used"] = est.m_used
-    out["tail_corrected"] = est.tail_corrected
-    if est.lower is not None:
-        out["lower"] = est.lower
-        out["upper"] = est.upper
-    out["rel_err_vs_oracle"] = rel_err
-    return out
+_TARGET_FLAGS = {  # the flags each identity name or convergence target reads, of x, b, t and tail
+    "identity": {"sin": ("x", "tail"), "tan": ("x", "tail"), "pow2": ("b", "tail"), "quarter": ()},
+    "convergence": {"jointfactor": ("x", "b", "tail"), "digamma": ("t",), "quarter": ()},
+}
+
+
+def _check_target_flags(args, key: str, target: str) -> None:
+    """A usage error for a flag that only other targets read, or for one ``target`` reads but lacks."""
+    reads = _TARGET_FLAGS[args.verb][target]
+    for flag in ("x", "b", "t", "tail"):
+        given = args.tail if flag == "tail" else getattr(args, flag, None) is not None
+        if given and flag not in reads:
+            raise _UsageError(f"unrecognized arguments: --{flag} ({args.verb} {key} {target} does not read it)")
+        if not given and flag in reads and flag != "tail":
+            raise _UsageError(f"{args.verb} {key} {target} needs --{flag}")
 
 
 def _dict_to_csv(payload: dict) -> str:
@@ -228,18 +232,22 @@ def _do_gamma(args) -> tuple[Any, int]:
 
 def _do_jointfactor(args) -> tuple[Any, int]:
     pol = _policy(args)
-    if pol.mode == "tail_corrected":
-        pol = TruncationPolicy(mode="bracket", m=pol.m)  # same estimate, plus bounds
     spec = JointFactorSpec(args.x, args.b)
     est = joint_factor(spec, pol)
+    payload: dict[str, Any] = {
+        "op": "jointfactor", "x": args.x, "b": args.b, "value": est.value,
+        "log_value": est.log_value, "m_used": est.m_used, "tail_corrected": args.tail,
+    }
+    if args.tail:
+        payload["lower"], payload["upper"] = joint_factor_bracket(spec, args.m)
     gap = _log_gamma_gap(args.x, args.b) if args.b > 0 else 0.0
     log_oracle = None if gap is None else gap + ref_log_gamma(1.0 - args.b)
-    rel_err = _rel_err(est.log_value, log_oracle)
-    return _estimate_payload("jointfactor", {"x": args.x, "b": args.b}, est, rel_err), EXIT_OK
+    payload["rel_err_vs_oracle"] = _rel_err(est.log_value, log_oracle)
+    return payload, EXIT_OK
 
 
 def _do_coeffs(args) -> tuple[Any, int]:
-    rec = coeffs_mod.g_sequence(args.x, args.b, args.n)
+    rec = coeffs_mod.g_sequence(args.x, args.b, _in_range("--n", args.n, coeffs_mod.N_MAX))
     orc = coeffs_mod.g_sequence_oracle(args.x, args.b, args.n)
     diff = max(abs(a - b) for a, b in zip(rec.g, orc.g))
     payload = {
@@ -301,6 +309,7 @@ def _in_range(flag: str, value: int, top: int) -> int:
 
 
 def _do_identity(args) -> tuple[Any, int]:
+    _check_target_flags(args, "--name", args.name)
     if args.name == "quarter":
         partials = ident_mod.quarter_partials(_in_range("--m", args.m, ident_mod.QUARTER_M_MAX))
         classical, new = partials[0][-1], partials[1][-1]
@@ -320,8 +329,6 @@ def _do_identity(args) -> tuple[Any, int]:
         }
         return payload, EXIT_OK
     argument = args.b if args.name == "pow2" else args.x
-    if argument is None:
-        raise _UsageError(f"identity --name {args.name} needs --{'b' if args.name == 'pow2' else 'x'}")
     chk = ident_mod.check_identity(args.name, argument, args.m, tail=args.tail)
     payload = {
         "op": "identity",
@@ -361,6 +368,7 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def _do_convergence(args) -> tuple[Any, int]:
+    _check_target_flags(args, "--target", args.target)
     ms = _parse_m_list(args.m_list)
     rows: list[list[Any]] = []
     if args.target == "quarter":
@@ -371,21 +379,14 @@ def _do_convergence(args) -> tuple[Any, int]:
             c, n = classical[m - 1], new[m - 1]
             rows.append([m, c, abs(c - ref), n, abs(n - ref)])
     elif args.target == "jointfactor":
-        if args.x is None or args.b is None:
-            raise _UsageError("convergence --target jointfactor needs --x and --b")
         spec = JointFactorSpec(args.x, args.b)
         gap = _log_gamma_gap(args.x, args.b) if args.b > 0 else 0.0
         oracle = None if gap is None else math.exp(gap + ref_log_gamma(1.0 - args.b))
         header = ["m", "estimate", "abs_err_vs_oracle", "tail_corrected"]
         for m in ms:
-            if args.tail:
-                est = joint_factor(spec, TruncationPolicy(mode="tail_corrected", m=m)).value
-            else:
-                est = truncate(spec, m)
+            est = joint_factor(spec, TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=m)).value
             rows.append([m, est, None if oracle is None else abs(est - oracle), bool(args.tail)])
     else:
-        if args.t is None:
-            raise _UsageError("convergence --target digamma needs --t")
         _in_range("--m-list", ms[-1], poly_mod.RAW_SERIES_N_MAX)
         oracle = ref_digamma(args.t)
         header = ["n0", "raw", "raw_abs_err", "accelerated", "accelerated_abs_err"]

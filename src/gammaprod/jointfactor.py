@@ -4,8 +4,8 @@ Two interchangeable estimators are exposed:
 
 * ``joint_factor`` evaluates the infinite product
   f(x, b) = prod_{k>=1} k (x+k-1) / [(k-b)(x+k+b-1)]: its m-factor
-  truncate in fixed mode, and in every tail mode the whole product,
-  optionally bracketed by rigorous bounds.
+  truncate in fixed mode, and in tail mode the whole product.
+  ``joint_factor_bracket`` bounds f from the m-factor truncate.
 * ``joint_factor_series`` evaluates exp(-sum g_n(x, b)) from the recursion
   coefficients in :mod:`gammaprod.coeffs`.
 
@@ -26,12 +26,11 @@ The same tails give any head in closed form: :func:`log_head` sums at most
 ten factors and takes factors 11..m as the difference of the tails after 10
 and after m, so an m-factor truncate costs the same for m = 10 and m = 10^9
 and still equals f_m; with the tail it is the whole product, ten factors
-and the exact tail after them.  So every tail mode evaluates the same
-number whatever m is; m sets only ``m_used`` and the bracket's truncate.
-The joint factor's first factor x / [(1-b)(x+b)] is taken by its own log,
-exact as x -> 0.  Beta and the trigonometric products share the factor
-shape: :func:`shifted_product` takes their k = 1 factor from its exact
-linear terms and the rest, with closed-form roots, through the same kernel.
+and the exact tail after them, whatever m is.  The joint factor's first
+factor x / [(1-b)(x+b)] is taken by its own log, exact as x -> 0.  Beta and
+the trigonometric products share the factor shape: :func:`shifted_product`
+takes their k = 1 factor from its exact linear terms and the rest, with
+closed-form roots, through the same kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from . import coeffs
 from .errors import DomainError
 from .reference import _psi3, ref_digamma, ref_trigamma
 
-_MODES = ("fixed", "tail_corrected", "bracket")
+_MODES = ("fixed", "tail_corrected")
 
 # Default head length, and the factors log_head sums before an exact tail.
 # With the exact tail, m = 10 already meets the Gamma(q/p) accuracy over the
@@ -89,11 +88,9 @@ def _check_m(m: int) -> None:
 class TruncationPolicy:
     """How to truncate the product: mode and head length m.
 
-    ``fixed`` keeps the raw m-factor truncate f_m.  The tail modes,
-    ``tail_corrected`` and ``bracket``, evaluate the whole product, the
-    same number whatever m is: m sets ``m_used`` and the truncate f_m from
-    which ``bracket`` adds rigorous bounds.  Every mode costs O(10): see
-    :func:`log_head`.
+    ``fixed`` keeps the raw m-factor truncate f_m.  ``tail_corrected``
+    evaluates the whole product, the same number whatever m is: m sets only
+    ``m_used``.  Both modes cost O(10): see :func:`log_head`.
     """
 
     mode: str = "tail_corrected"
@@ -107,14 +104,11 @@ class TruncationPolicy:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A product estimate with its log form and optional rigorous bracket."""
+    """A product estimate with its log form and the head length it used."""
 
     value: float
     log_value: float
     m_used: int
-    lower: float | None = None
-    upper: float | None = None
-    tail_corrected: bool = False
 
 
 # tail_sum_inverse, tail_sum_inverse_sq and _extend_log_partial belong to the
@@ -264,7 +258,7 @@ def _log_truncate(spec: JointFactorSpec, m: int, tail: bool = False) -> float:
     """ln f_m, or with ``tail`` ln f: the k = 1 factor's log in closed form
     plus m-1 shifted factors (and with ``tail`` the rest of the product)."""
     c, u, v, roots = _shifted(spec)
-    if c == 0.0:  # x + b = 1: every factor is 1
+    if c == 0.0 and math.fsum((spec.x, spec.b, -1.0)) == 0.0:  # x + b = 1 exactly: every factor is 1
         return 0.0
     first = math.log(spec.x / v) - math.log1p(-spec.b)
     return first + log_head(c, u, v, roots, m - 1, tail)
@@ -284,49 +278,50 @@ def truncate(spec: JointFactorSpec, m: int) -> float:
     return _exp(_log_truncate(spec, m))
 
 
-def _bracket(spec: JointFactorSpec, m: int, log_fm: float) -> tuple[float, float]:
-    """Rigorous bounds on f from f_m and an overestimate of the tail.
+def joint_factor_bracket(spec: JointFactorSpec, m: int) -> tuple[float, float]:
+    """Bounds lower <= f(x, b) <= upper from the truncate f_m and an
+    overestimate of the tail after it.
 
     D_k = (k-b)(k+x+b-1) >= (k-1)(k-1+x) on the domain and 1/(t(t+x)) is
     convex, so S1 = sum_{k>m} 1/D_k <= sum_{j>=m} 1/(j(j+x)) is at most the
     integral over [m-1/2, inf), log1p(x/h)/x with h = m-1/2: about 1/m for
     small x, ln(x)/x for large x.  The log tail lies between 0 and c S1; for
     negative c the bound is widened by D_{m+1}/(D_{m+1} - |c|), from
-    ln(1+y) >= y/(1+y).
+    ln(1+y) >= y/(1+y); it is finite, as c < 0 means |c| = b (1-x-b) < 1 < D_{m+1}.
+
+    For rounding, the log ends move out by 8u M, u = 2^-53 and M = 4 + |ln f_m|
+    + |ln(1-b)| + b ln(1+x) + bound: ln f_m sums ln(x/(x+b)), -ln(1-b) and the
+    shifted factors' log, whose terms reach b ln(1+x), none above M; 8u is
+    three times the largest error measured against mpmath, and its constant
+    part covers exp's rounding, as one nextafter step out does among
+    subnormals.  ``DomainError`` when an end lies beyond the double range.
     """
+    _check_m(m)
+    if spec.b == 0.0:  # f = 1 exactly
+        return 1.0, 1.0
     c = _shifted(spec)[0]
-    if c == 0.0:
-        f = _exp(log_fm)
-        return f, f
+    log_fm = _log_truncate(spec, m)
     h = m - 0.5
     t = spec.x / h
     bound = abs(c) * (math.log1p(t) / t if t > 0.0 else 1.0) / h
-    if c > 0.0:
-        return _exp(log_fm), _exp(log_fm + bound)
-    d_next = (m + 1.0 - spec.b) * (m + spec.x + spec.b)
-    if d_next <= abs(c):
-        raise DomainError("bracket mode needs m large enough that |c| < D_{m+1}")
-    return _exp(log_fm - bound * d_next / (d_next - abs(c))), _exp(log_fm)
+    if c < 0.0:
+        d_next = (m + 1.0 - spec.b) * (m + spec.x + spec.b)
+        bound *= d_next / (d_next - abs(c))
+    budget = 8.0 * 2.0**-53 * (4.0 + abs(log_fm) - math.log1p(-spec.b) + spec.b * math.log1p(spec.x) + bound)
+    low, high = (log_fm, log_fm + bound) if c > 0.0 else (log_fm - bound, log_fm)
+    return math.nextafter(_exp(low - budget), 0.0), math.nextafter(_exp(high + budget), math.inf)
 
 
 def joint_factor(spec: JointFactorSpec, policy: TruncationPolicy = TruncationPolicy()) -> Estimate:
     """Estimate f(x, b) under the given truncation policy.
 
     b = 0 is the degenerate case f = 1 and returns immediately with
-    m_used = 0.  ``DomainError`` when f (or its bracket) lies beyond the
-    double range.
+    m_used = 0.  ``DomainError`` when f lies beyond the double range.
     """
-    bracket = policy.mode == "bracket"
     if spec.b == 0.0:
-        return Estimate(1.0, 0.0, 0, 1.0, 1.0) if bracket else Estimate(1.0, 0.0, 0)
-    m = policy.m
-    if policy.mode == "fixed":
-        log_fm = _log_truncate(spec, m)
-        return Estimate(_exp(log_fm), log_fm, m)
-    log_est = _log_truncate(spec, m, tail=True)
-    value = _exp(log_est)
-    lower, upper = _bracket(spec, m, _log_truncate(spec, m)) if bracket else (None, None)
-    return Estimate(value, log_est, m, lower, upper, tail_corrected=True)
+        return Estimate(1.0, 0.0, 0)
+    log_value = _log_truncate(spec, policy.m, tail=policy.mode != "fixed")
+    return Estimate(_exp(log_value), log_value, policy.m)
 
 
 def joint_factor_series(spec: JointFactorSpec, N: int) -> float:

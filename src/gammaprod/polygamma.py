@@ -106,11 +106,9 @@ def trigamma(t: float, n0: int) -> PolygammaResult:
 
 
 def zeta_tail(t: float, n0: int) -> float:
-    """sum_{n > n0} n^{-1-t} by Euler-Maclaurin with six Bernoulli
-    corrections (the default four leave 2.6e-12 relative at n0 = 10).
-    No longer part of psi or psi'."""
+    """sum_{n > n0} n^{-1-t} by Euler-Maclaurin; no longer part of psi or psi'."""
     _validate(t, n0)
-    return power_tail(1.0 + t, n0, corrections=6)
+    return power_tail(1.0 + t, n0)
 
 
 def digamma_series_raw(t: float, N: int) -> float:

@@ -111,16 +111,15 @@ def _psi3(x: float) -> float:
     return v
 
 
-def power_tail(s: float, n0: int, corrections: int = 4) -> float:
-    """sum_{n > n0} n^{-s} for s > 1 by Euler-Maclaurin at a = n0 + 1."""
+def power_tail(s: float, n0: int) -> float:
+    """sum_{n > n0} n^{-s} for s > 1 by Euler-Maclaurin at a = n0 + 1, six corrections."""
     if s <= 1.0:
         raise DomainError(f"power_tail requires s > 1, got {s}")
     if n0 < 1:
         raise DomainError("power_tail requires n0 >= 1")
     a = n0 + 1.0
     t = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s)
-    for j in range(1, corrections + 1):
-        b2j, fact = _EM_BERNOULLI[j - 1]
+    for j, (b2j, fact) in enumerate(_EM_BERNOULLI, 1):
         rising = 1.0
         for i in range(2 * j - 1):
             rising *= s + i
@@ -162,4 +161,4 @@ def ref_zeta(s: float) -> float:
     if not 1.0 < s <= 2.0:
         raise DomainError(f"ref_zeta requires 1 < s <= 2, got {s}")
     partial = math.fsum(n ** (-s) for n in range(1, _ZETA_DIRECT_TERMS + 1))
-    return partial + power_tail(s, _ZETA_DIRECT_TERMS, corrections=6)
+    return partial + power_tail(s, _ZETA_DIRECT_TERMS)

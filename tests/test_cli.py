@@ -114,6 +114,15 @@ def test_jointfactor_bracket_at_huge_x(capsys, x, b):
     assert abs(payload["value"] - f) <= 4e-16 * max(1.0, payload["log_value"]) * f
 
 
+@pytest.mark.parametrize("tail", [False, True])
+def test_jointfactor_reports_the_tail_flag_at_b_zero(capsys, tail):
+    # f(x, 0) = 1 exactly; tail_corrected echoes --tail, and the bracket is the point 1
+    code, out, _ = invoke(capsys, "jointfactor", "--x", "0.73", "--b", "0", *(["--tail"] if tail else []))
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["tail_corrected"] is tail and payload["value"] == 1.0
+    assert (payload.get("lower"), payload.get("upper")) == ((1.0, 1.0) if tail else (None, None))
+
+
 def test_beta_at_huge_x(capsys):
     # B(1e300, 1/2) = sqrt(pi) (1e300)^(-1/2) (1 + O(1e-300)): finite, not NaN
     code, out, _ = invoke(capsys, "beta", "--x", "1e300", "--y", "0.5", "--tail")
@@ -358,6 +367,12 @@ def test_range_errors_name_the_flag_typed(capsys, argv, flag, internal):
     assert internal not in err
 
 
+def test_coeffs_range_error_names_the_flag_typed(capsys):
+    code, out, err = invoke(capsys, "coeffs", "--x", "0.25", "--b", "0.5", "--n", "100000")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "--n must lie in [1, 2000], got 100000" in err and "N must" not in err
+
+
 def test_domain_error_exit(capsys):
     code, _, err = invoke(capsys, "gamma", "--q", "0", "--p", "4")
     assert code == EXIT_DOMAIN
@@ -488,14 +503,44 @@ _UNREAD_FLAGS = [
     ("bounds", "--tail"), ("bounds", "--tol", "1e-3"),
     ("convergence", "--m", "5"), ("convergence", "--tol", "1e-6"),
 ] + [(verb, "--jobs", "2") for verb in _VERB_ARGS]
+# identity and convergence register the flags of all their targets; each target refuses the others'
+_TARGET_ARGS = {
+    "identity-quarter": ("identity", "--name", "quarter"),
+    "identity-sin": ("identity", "--name", "sin", "--x", "0.25"),
+    "identity-tan": ("identity", "--name", "tan", "--x", "0.25"),
+    "identity-pow2": ("identity", "--name", "pow2", "--b", "0.25"),
+    "convergence-quarter": ("convergence", "--target", "quarter", "--m-list", "1,10"),
+    "convergence-digamma": ("convergence", "--target", "digamma", "--t", "0.3", "--m-list", "1,10"),
+    "convergence-jointfactor": ("convergence", "--target", "jointfactor", "--x", "0.3", "--b", "0.2", "--m-list", "1,10"),
+}
+_UNREAD_FLAGS += [
+    ("identity-quarter", "--tail"), ("identity-quarter", "--x", "0"), ("identity-quarter", "--b", "0.25"),
+    ("identity-sin", "--b", "0.25"), ("identity-tan", "--b", "0.25"), ("identity-pow2", "--x", "0.25"),
+    ("convergence-quarter", "--tail"), ("convergence-digamma", "--tail"),
+    ("convergence-quarter", "--x", "0.3"), ("convergence-quarter", "--b", "0.2"),
+    ("convergence-digamma", "--x", "0.3"), ("convergence-digamma", "--b", "0.2"),
+    ("convergence-quarter", "--t", "0.3"), ("convergence-jointfactor", "--t", "0.3"),
+]
 
 
 @pytest.mark.parametrize("verb, flag", [(v, f) for v, *f in _UNREAD_FLAGS], ids=[" ".join(f) for f in _UNREAD_FLAGS])
 def test_flags_a_verb_does_not_read_are_usage_errors(capsys, verb, flag):
-    code, _, err = invoke(capsys, verb, *_VERB_ARGS[verb])
+    argv = _TARGET_ARGS[verb] if verb in _TARGET_ARGS else (verb, *_VERB_ARGS[verb])
+    code, _, err = invoke(capsys, *argv)
     assert code == EXIT_OK, err
-    code, out, err = invoke(capsys, verb, *_VERB_ARGS[verb], *flag)
+    code, out, err = invoke(capsys, *argv, *flag)
     assert code == EXIT_USAGE and out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (("identity", "--name", "sin"), "--x"),
+    (("identity", "--name", "pow2", "--tail"), "--b"),
+    (("convergence", "--target", "jointfactor", "--x", "0.3", "--m-list", "1"), "--b"),
+    (("convergence", "--target", "digamma", "--m-list", "1"), "--t"),
+])
+def test_a_target_without_its_argument_is_a_usage_error(capsys, argv, needs):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "") and f"needs {needs}" in err
 
 
 def test_every_value_verb_carries_the_common_keys(capsys):

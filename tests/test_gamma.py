@@ -214,10 +214,10 @@ def test_gamma_ratio_matches_reference_property(x, b):
     assert gamma_ratio(x, b) == pytest.approx(want, rel=1e-9)
 
 
-_TABLE_POLICIES = [TruncationPolicy(), TruncationPolicy(mode="fixed", m=1000), TruncationPolicy(mode="bracket", m=37)]
+_TABLE_POLICIES = [TruncationPolicy(), TruncationPolicy(mode="fixed", m=1000), TruncationPolicy(mode="tail_corrected", m=37)]
 
 
-@pytest.mark.parametrize("policy", _TABLE_POLICIES, ids=["default", "fixed-1000", "bracket-37"])
+@pytest.mark.parametrize("policy", _TABLE_POLICIES, ids=["default", "fixed-1000", "tail_corrected-37"])
 def test_denominator_table_is_bit_identical_to_the_summed_factors(policy):
     # every value read from the per-denominator table equals the fsum of the
     # joint factors it stands for, formed here from joint_factor directly
@@ -289,8 +289,8 @@ def test_gamma_ratio_under_a_fixed_policy_is_continuous_across_fractions(x):
 
 
 def test_m_used_is_the_longest_factor_head():
-    # every factor uses the policy's head, in every mode
-    for mode in ("fixed", "tail_corrected", "bracket"):
+    # every factor uses the policy's head, in both modes
+    for mode in ("fixed", "tail_corrected"):
         for m in (1, 10, 1000, 2**53):
             assert gamma_rational(RationalArgument(3, 7), TruncationPolicy(mode=mode, m=m)).m_used == m
     assert gamma_rational(RationalArgument(1, 2)).m_used == 0  # exact anchor, no factors
@@ -308,11 +308,11 @@ _POLICY_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["tail_corrected", "bracket"])
+@pytest.mark.parametrize("mode", ["tail_corrected"])
 @pytest.mark.parametrize("name", list(_POLICY_ENTRY_POINTS))
 def test_a_tail_mode_gives_one_number_at_every_entry_point(name, mode):
-    # every tail mode sums ten factors and the exact tail after them, so m
-    # moves no bit of any value a policy reaches
+    # tail mode sums ten factors and the exact tail after them, so m moves
+    # no bit of any value a policy reaches
     values = {_POLICY_ENTRY_POINTS[name](TruncationPolicy(mode=mode, m=m)) for m in (1, 10, 1000, 2**53)}
     assert len(values) == 1, values
 

@@ -3,6 +3,7 @@ series route, and the truncation policy."""
 
 import dataclasses
 import math
+import random
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from gammaprod.jointfactor import (
     JointFactorSpec,
     TruncationPolicy,
     joint_factor,
+    joint_factor_bracket,
     joint_factor_series,
     log_head,
     log_partial_product,
@@ -107,13 +109,70 @@ def test_raw_truncation_is_only_roughly_right():
 
 
 def test_bracket_contains_oracle():
-    policy = TruncationPolicy(mode="bracket", m=200)
     for x in grid(0.1, 2.9, 15):
         for b in grid(0.05, 0.95, 8):
-            est = joint_factor(JointFactorSpec(x, b), policy)
-            f = oracle_f(x, b)
-            assert est.lower <= f <= est.upper
-            assert est.lower <= est.value <= est.upper
+            spec = JointFactorSpec(x, b)
+            lower, upper = joint_factor_bracket(spec, 200)
+            assert lower <= oracle_f(x, b) <= upper
+            assert lower <= joint_factor(spec).value <= upper
+
+
+def mp_f(x: float, b: float):
+    """f(x, b) at the exact doubles x and b, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.mp.workdps(50):
+        xs, bs = mpmath.mpf(x), mpmath.mpf(b)
+        return mpmath.exp(mpmath.loggamma(xs + bs) + mpmath.loggamma(1 - bs) - mpmath.loggamma(xs))
+
+
+def _bracket_draws():
+    # 600 draws per m from one stream: x log-uniform in [1e-3, 1e3], b in [1e-12, 0.99]
+    rng = random.Random(17)
+    for m in (1, 10, 10**3, 10**6, 10**9, 2**53):
+        for _ in range(600):
+            yield 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-12, math.log10(0.99)), m
+
+
+def test_bracket_holds_against_mpmath():
+    # without its rounding budget the bracket missed 36, 211, 416 and 569 of
+    # these at m = 10^3, 10^6, 10^9 and 2^53, by up to 9.2e-16 relative
+    misses = []
+    for x, b, m in _bracket_draws():
+        lower, upper = joint_factor_bracket(JointFactorSpec(x, b), m)
+        if not lower <= mp_f(x, b) <= upper:
+            misses.append((x, b, m))
+    assert misses == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.floats(min_value=1e-300, max_value=1e6),
+    b=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    m=st.integers(min_value=1, max_value=2**53),
+)
+def test_bracket_holds_over_the_whole_domain(x, b, m):
+    lower, upper = joint_factor_bracket(JointFactorSpec(x, b), m)
+    assert lower <= mp_f(x, b) <= upper
+
+
+def test_bracket_is_exact_at_b_zero_and_widened_elsewhere():
+    assert joint_factor_bracket(JointFactorSpec(0.73, 0.0), 5) == (1.0, 1.0)
+    lower, upper = joint_factor_bracket(JointFactorSpec(0.5, 0.5), 5)  # f = 1, summed as logs
+    assert lower < 1.0 < upper and upper - lower < 1e-14
+    with pytest.raises(DomainError, match=r"\[1, 2\^53\]"):
+        joint_factor_bracket(JointFactorSpec(0.3, 0.2), 0)
+
+
+@pytest.mark.parametrize("x, b", [(0.1, 0.9), (2.093329357463195e-16, 0.9999999999999999)])
+def test_factors_beside_the_unit_line(x, b):
+    # x + b rounds to 1, so c = b (x+b-1) rounds to 0, but the first factor
+    # x / [(1-b)(x+b)] is not 1: it is 1.886 at the second point, the
+    # difference of two logs near -36.7, each rounded
+    f = mp_f(x, b)
+    spec = JointFactorSpec(x, b)
+    assert abs(joint_factor(spec).value - f) <= 1e-14 * f
+    lower, upper = joint_factor_bracket(spec, 1000)
+    assert lower <= f <= upper
 
 
 def test_tail_accuracy_across_the_quotient_switch():
@@ -153,9 +212,10 @@ def test_symmetry_identity():
 @settings(max_examples=40, deadline=None)
 @given(x=st.floats(min_value=0.05, max_value=3.0), b=st.floats(min_value=0.0, max_value=0.95))
 def test_estimate_invariants_property(x, b):
-    est = joint_factor(JointFactorSpec(x, b), TruncationPolicy(mode="bracket", m=400))
+    est = joint_factor(JointFactorSpec(x, b), TruncationPolicy(m=400))
     assert est.value == pytest.approx(math.exp(est.log_value), rel=1e-14)
-    assert est.lower <= est.value <= est.upper
+    lower, upper = joint_factor_bracket(JointFactorSpec(x, b), 400)
+    assert lower <= est.value <= upper
     assert abs(est.value - oracle_f(x, b)) <= 1e-9 * abs(oracle_f(x, b))
 
 
@@ -185,11 +245,13 @@ def test_policy_validation():
         TruncationPolicy(mode="nope")
     with pytest.raises(DomainError):
         TruncationPolicy(m=0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(mode="adaptive")
+    for gone in ("adaptive", "bracket"):  # the bracket is joint_factor_bracket
+        with pytest.raises(DomainError):
+            TruncationPolicy(mode=gone)
     assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["mode", "m"]
-    # every mode costs O(10) at any m up to 2^53, beyond which m + 1 is not exact
-    for mode in ("fixed", "tail_corrected", "bracket"):
+    assert [f.name for f in dataclasses.fields(Estimate)] == ["value", "log_value", "m_used"]
+    # both modes cost O(10) at any m up to 2^53, beyond which m + 1 is not exact
+    for mode in ("fixed", "tail_corrected"):
         assert TruncationPolicy(mode=mode, m=2**53).m == 2**53
         with pytest.raises(DomainError, match=r"\[1, 2\^53\]"):
             TruncationPolicy(mode=mode, m=2**53 + 1)
@@ -248,12 +310,11 @@ def test_log_head_with_tail_is_the_whole_product(c, u, v, roots, m):
 
 @pytest.mark.parametrize("x, b", [(0.3, 0.2), (1e-300, 0.5), (2.5, 0.9), (1e6, 0.01), (0.01, 0.99)])
 def test_tail_modes_evaluate_one_product_whatever_m(x, b):
-    # every tail mode is the first factor, ten shifted factors and the exact
-    # tail after them, so m changes no bit
+    # tail mode is the first factor, ten shifted factors and the exact tail
+    # after them, so m changes no bit
     spec = JointFactorSpec(x, b)
     logs = {
-        joint_factor(spec, TruncationPolicy(mode=mode, m=m)).log_value
-        for mode in ("tail_corrected", "bracket")
+        joint_factor(spec, TruncationPolicy(mode="tail_corrected", m=m)).log_value
         for m in (*range(1, 12), 1000, 10**7, 10**9, 2**53)
     }
     assert len(logs) == 1
@@ -269,9 +330,10 @@ def test_no_head_sums_more_than_ten_factors(monkeypatch):
     monkeypatch.setattr(jointfactor, "log_partial_product", recording)
     gamma.clear_factor_cache()
     spec = JointFactorSpec(0.3, 0.2)
-    for mode in ("fixed", "tail_corrected", "bracket"):
+    for mode in ("fixed", "tail_corrected"):
         joint_factor(spec, TruncationPolicy(mode=mode, m=10**6))
     truncate(spec, 10**9)
+    joint_factor_bracket(spec, 10**9)
     gamma.beta(2.5, 0.6, TruncationPolicy(mode="fixed", m=10**6))
     gamma.beta_partial(2.5, 0.6, 10**6)
     gamma.gamma_rational(gamma.RationalArgument(5, 12), TruncationPolicy(m=1000))
@@ -298,9 +360,9 @@ def test_tiny_x_first_factor(x, m):
     # with c/D_1 rounded to -1
     b = 0.032
     assert truncate(JointFactorSpec(x, b), 1) == pytest.approx(x / ((1.0 - b) * (x + b)), rel=1e-15)
-    est = joint_factor(JointFactorSpec(x, b), TruncationPolicy(mode="bracket", m=m))
-    assert est.lower <= est.upper
-    assert est.lower > 0.0 and math.isfinite(est.log_value)
+    lower, upper = joint_factor_bracket(JointFactorSpec(x, b), m)
+    assert 0.0 < lower <= upper
+    assert math.isfinite(joint_factor(JointFactorSpec(x, b), TruncationPolicy(m=m)).log_value)
 
 
 def test_overflow_is_a_domain_error():
@@ -308,4 +370,4 @@ def test_overflow_is_a_domain_error():
     with pytest.raises(DomainError, match="overflow"):
         joint_factor(spec, TruncationPolicy(m=1000))
     with pytest.raises(DomainError, match="overflow"):
-        joint_factor(spec, TruncationPolicy(mode="bracket", m=1000))
+        joint_factor_bracket(spec, 1000)
