@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 
 from .errors import DomainError
 from .gamma import beta_partial
-from .jointfactor import _STIRLING, JointFactorSpec, TruncationPolicy, joint_factor, truncate
+from .jointfactor import _STIRLING, JointFactorSpec, TruncationPolicy, _log_first, joint_factor, truncate
 from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -178,13 +178,25 @@ def app9_alzer(x: float) -> tuple[float, float, float]:
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
+    return _alzer_a(x), _alzer_d(x), _alzer_e(x)
+
+
+def _power_law(x: float, exponent: float) -> float:
+    """x ** exponent, whose overflow is app9_alzer's DomainError."""
     try:
-        a = x ** (ALZER_ALPHA * x - 1.0)
-        d = x ** (ALZER_BETA * (x - 1.0) - EULER_GAMMA)
-        e = x ** (x - 1.0 - EULER_GAMMA)
+        return x ** exponent
     except OverflowError:
         raise DomainError(f"the power-law bounds exceed the double range at x = {x!r}") from None
-    return a, d, e
+
+# A, D and E one at a time, for the checks that read only some of them.
+def _alzer_a(x: float) -> float:
+    return _power_law(x, ALZER_ALPHA * x - 1.0)
+
+def _alzer_d(x: float) -> float:
+    return _power_law(x, ALZER_BETA * (x - 1.0) - EULER_GAMMA)
+
+def _alzer_e(x: float) -> float:
+    return _power_law(x, x - 1.0 - EULER_GAMMA)
 
 
 def app9_refined(x: float, m: int) -> tuple[float, float]:
@@ -198,6 +210,23 @@ def app9_refined(x: float, m: int) -> tuple[float, float]:
     fm = truncate(JointFactorSpec(x, 0.5), m)
     a, _, e = app9_alzer(x + 0.5)
     return _SQRT_PI * a / fm, _SQRT_PI * e / fm
+
+
+def _app9_f1(x: float) -> float:
+    """f_1(x, 1/2) from its closed log: truncate(JointFactorSpec(x, 0.5), 1)
+    bit for bit, 1.0 at x = 1/2."""
+    if x <= 0.0:
+        raise DomainError(f"x must be positive, got {x}")
+    return math.exp(_log_first(x, 0.5))
+
+# K_1 and L_1 of app9_refined(x, 1), bit for bit, each forming only its own bound.
+def _app9_k1(x: float) -> float:
+    f1 = _app9_f1(x)
+    return _SQRT_PI * _alzer_a(x + 0.5) / f1
+
+def _app9_l1(x: float) -> float:
+    f1 = _app9_f1(x)
+    return _SQRT_PI * _alzer_e(x + 0.5) / f1
 
 
 def _stirling_mu(x: float) -> float:
@@ -221,25 +250,43 @@ def _stirling_v(x: float) -> float:
 
 def schuster_bounds(x: float) -> tuple[float, float]:
     """(-1/24)[1/x + 1/(120 x^3)] <= v(x) <= (-1/24)[1/x - 1/(8 x^3)]."""
-    inv = 1.0 / x
-    if math.isinf(inv):  # subnormal x: inf ** 3 is inf and raises nothing
-        raise DomainError(f"1/x exceeds the double range at x = {x!r}")
-    try:
-        cube = inv ** 3
-    except OverflowError:
-        raise DomainError(f"1/x^3 exceeds the double range at x = {x!r}") from None
-    return (-1.0 / 24.0) * (inv + cube / 120.0), (-1.0 / 24.0) * (inv - cube / 8.0)
+    (lower,), (upper,) = _schuster_columns((x,))
+    return lower, upper
+
+
+def _schuster_columns(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Schuster's lower and upper envelopes of v over a grid."""
+    lower, upper = [], []
+    for x in xs:
+        inv = 1.0 / x
+        if math.isinf(inv):  # subnormal x: inf ** 3 is inf and raises nothing
+            raise DomainError(f"1/x exceeds the double range at x = {x!r}")
+        try:
+            cube = inv ** 3
+        except OverflowError:
+            raise DomainError(f"1/x^3 exceeds the double range at x = {x!r}") from None
+        lower.append((-1.0 / 24.0) * (inv + cube / 120.0))
+        upper.append((-1.0 / 24.0) * (inv - cube / 8.0))
+    return lower, upper
 
 
 def app10_truncate_rhs(x: float) -> float:
     """ln[f_1(x, 1/2) / sqrt(pi x)] = ln[4 sqrt(x) / ((1+2x) sqrt(pi))]:
     the m = 1 bound on v(x) - mu(x) (upper for x < 1/2, lower for x > 1/2)."""
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    ratio = 4.0 * math.sqrt(x) / ((1.0 + 2.0 * x) * _SQRT_PI)
-    if not ratio > 0.0:  # 1 + 2x overflows
-        raise DomainError(f"1 + 2x exceeds the double range at x = {x!r}")
-    return math.log(ratio)
+    return _truncate_rhs_column((x,))[0]
+
+
+def _truncate_rhs_column(xs: Sequence[float]) -> list[float]:
+    """app10_truncate_rhs over a grid."""
+    out = []
+    for x in xs:
+        if x <= 0.0:
+            raise DomainError(f"x must be positive, got {x}")
+        ratio = 4.0 * math.sqrt(x) / ((1.0 + 2.0 * x) * _SQRT_PI)
+        if not ratio > 0.0:  # 1 + 2x overflows
+            raise DomainError(f"1 + 2x exceeds the double range at x = {x!r}")
+        out.append(math.log(ratio))
+    return out
 
 
 def app10_mu_lower(x: float) -> float:
@@ -310,53 +357,52 @@ def _app8_margins(alphas: Sequence[float], m: int) -> _Columns:
 
 def _app9_bracket_margins(xs: Sequence[float]) -> _Columns:
     below, above = _split(xs, 1.0)
-    lo_ade, lo_g = [app9_alzer(x) for x in below], [ref_gamma(x) for x in below]
-    hi_ade, hi_g = [app9_alzer(x) for x in above], [ref_gamma(x) for x in above]
+    lo_g, hi_g = [ref_gamma(x) for x in below], [ref_gamma(x) for x in above]
     return _labeled(
-        ("A < Gamma (0,1)", [g - a for (a, _, _), g in zip(lo_ade, lo_g)]),
-        ("Gamma < D (0,1)", [d - g for (_, d, _), g in zip(lo_ade, lo_g)]),
-        ("D < Gamma (1,inf)", [g - d for (_, d, _), g in zip(hi_ade, hi_g)]),
-        ("Gamma < E (1,inf)", [e - g for (_, _, e), g in zip(hi_ade, hi_g)]),
+        ("A < Gamma (0,1)", [g - _alzer_a(x) for x, g in zip(below, lo_g)]),
+        ("Gamma < D (0,1)", [_alzer_d(x) - g for x, g in zip(below, lo_g)]),
+        ("D < Gamma (1,inf)", [g - _alzer_d(x) for x, g in zip(above, hi_g)]),
+        ("Gamma < E (1,inf)", [_alzer_e(x) - g for x, g in zip(above, hi_g)]),
     )
 
 def _app9_gamma_side_margins(xs: Sequence[float]) -> _Columns:
     below, above = _split(xs, 0.5)
     return _labeled(
-        ("K1 <= Gamma (0,1/2)", [ref_gamma(x) - app9_refined(x, 1)[0] for x in below]),
-        ("L1 >= Gamma (1/2,inf)", [app9_refined(x, 1)[1] - ref_gamma(x) for x in above]),
+        ("K1 <= Gamma (0,1/2)", [ref_gamma(x) - _app9_k1(x) for x in below]),
+        ("L1 >= Gamma (1/2,inf)", [_app9_l1(x) - ref_gamma(x) for x in above]),
     )
 
-# margin of each refinement claim from (K1, L1) and (A, D, E)
+# margin of each refinement claim at x; the refinement is formed first, as it
+# checks x > 0, so -L1 + D is the sum D - L1 with its terms in that order
 _APP9_CLAIMS = {
-    "K1 >= A": lambda kl, ade: kl[0] - ade[0],
-    "L1 <= D": lambda kl, ade: ade[1] - kl[1],
-    "L1 <= E": lambda kl, ade: ade[2] - kl[1],
+    "K1 >= A": lambda x: _app9_k1(x) - _alzer_a(x),
+    "L1 <= D": lambda x: -_app9_l1(x) + _alzer_d(x),
+    "L1 <= E": lambda x: -_app9_l1(x) + _alzer_e(x),
 }
 
 def _app9_refinement_margins(xs: Sequence[float], which: str) -> _Columns:
     """Margins of one refinement claim; ``which`` is its report label,
     "K1 >= A on ...", "L1 <= D on ..." or "L1 <= E on ..."."""
-    margin = _APP9_CLAIMS[which[:7]]
-    return {which: [margin(app9_refined(x, 1), app9_alzer(x)) for x in xs]}
+    return {which: list(map(_APP9_CLAIMS[which[:7]], xs))}
 
 def _app10_margins(xs: Sequence[float]) -> _Columns:
-    vs = [_stirling_v(x) for x in xs]
-    envelopes = [schuster_bounds(x) for x in xs]
-    below = [(x, v) for x, v in zip(xs, vs) if x < 0.5]
-    above = [(x, v) for x, v in zip(xs, vs) if x > 0.5]
+    vs = [_stirling_v(x) for x in xs]  # v's domain check runs over the whole grid first
+    lower, upper = _schuster_columns(xs)
+    rows = list(zip(xs, vs, _truncate_rhs_column(xs)))
     return _labeled(
-        ("schuster lower <= v", [v - lo for v, (lo, _) in zip(vs, envelopes)]),
-        ("v <= schuster upper", [hi - v for v, (_, hi) in zip(vs, envelopes)]),
-        ("v < 1/(12x) + rhs (0,1/2)", [1.0 / (12.0 * x) + app10_truncate_rhs(x) - v for x, v in below]),
-        ("v > rhs (1/2,inf)", [v - app10_truncate_rhs(x) for x, v in above]),
+        ("schuster lower <= v", [v - lo for v, lo in zip(vs, lower)]),
+        ("v <= schuster upper", [hi - v for v, hi in zip(vs, upper)]),
+        ("v < 1/(12x) + rhs (0,1/2)", [1.0 / (12.0 * x) + rhs - v for x, v, rhs in rows if x < 0.5]),
+        ("v > rhs (1/2,inf)", [v - rhs for x, v, rhs in rows if x > 0.5]),
     )
 
 def _app10_improvement_margins(xs: Sequence[float]) -> _Columns:
+    upper = _schuster_columns(xs)[1]
     return {"rhs of (i) < schuster upper (0,1/2)":
-            [schuster_bounds(x)[1] - (1.0 / (12.0 * x) + app10_truncate_rhs(x)) for x in xs]}
+            [hi - (1.0 / (12.0 * x) + rhs) for x, hi, rhs in zip(xs, upper, _truncate_rhs_column(xs))]}
 
 def _app10_remark_margins(xs: Sequence[float]) -> _Columns:
-    lbs = [app10_mu_lower(x) for x in xs]
+    lbs = [lo - rhs for lo, rhs in zip(_schuster_columns(xs)[0], _truncate_rhs_column(xs))]  # app10_mu_lower
     return {
         "mu lower bound positive [0.144,0.5)": lbs,
         "mu > lower bound [0.144,0.5)": [_stirling_mu(x) - lb for x, lb in zip(xs, lbs)],

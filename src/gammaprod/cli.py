@@ -92,8 +92,12 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+# The largest head length (--m, --n0) the library takes: beyond 2^53, m + 1 is not exact.
+_HEAD_MAX = 2**53
+
+
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
-    return TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=args.m)
+    return TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=_in_range("--m", args.m, _HEAD_MAX))
 
 
 _POLICY_FLAGS = {
@@ -268,7 +272,7 @@ def _do_coeffs(args) -> tuple[Any, int]:
 def _do_polygamma(args) -> tuple[Any, int]:
     which = args.verb
     fn = poly_mod.digamma if which == "digamma" else poly_mod.trigamma
-    res = fn(args.t, args.n0)
+    res = fn(args.t, _in_range("--n0", args.n0, _HEAD_MAX, low=10))
     oracle = ref_digamma(args.t) if which == "digamma" else ref_trigamma(args.t)
     payload = {
         "op": which,
@@ -301,10 +305,10 @@ def _do_beta(args) -> tuple[Any, int]:
     return payload, EXIT_OK
 
 
-def _in_range(flag: str, value: int, top: int) -> int:
-    """``value`` if in [1, top], else a DomainError naming the flag the user typed."""
-    if not 1 <= value <= top:
-        raise DomainError(f"{flag} must lie in [1, {top}], got {value}")
+def _in_range(flag: str, value: int, top: int, low: int = 1) -> int:
+    """``value`` if in [low, top], else a DomainError naming the flag the user typed."""
+    if not low <= value <= top:
+        raise DomainError(f"{flag} must lie in [{low}, {'2^53' if top == _HEAD_MAX else top}], got {value}")
     return value
 
 
@@ -329,7 +333,7 @@ def _do_identity(args) -> tuple[Any, int]:
         }
         return payload, EXIT_OK
     argument = args.b if args.name == "pow2" else args.x
-    chk = ident_mod.check_identity(args.name, argument, args.m, tail=args.tail)
+    chk = ident_mod.check_identity(args.name, argument, _in_range("--m", args.m, _HEAD_MAX), tail=args.tail)
     payload = {
         "op": "identity",
         "name": chk.name,
@@ -344,7 +348,8 @@ def _do_identity(args) -> tuple[Any, int]:
 
 
 def _do_bounds(args) -> tuple[Any, int]:
-    report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=args.points, m=args.m)
+    m = None if args.m is None else _in_range("--m", args.m, _HEAD_MAX)
+    report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=args.points, m=m)
     payload = {
         "op": "bounds",
         "suite": report.suite,
@@ -380,6 +385,7 @@ def _do_convergence(args) -> tuple[Any, int]:
             rows.append([m, c, abs(c - ref), n, abs(n - ref)])
     elif args.target == "jointfactor":
         spec = JointFactorSpec(args.x, args.b)
+        _in_range("--m-list", ms[-1], _HEAD_MAX)
         gap = _log_gamma_gap(args.x, args.b) if args.b > 0 else 0.0
         oracle = None if gap is None else math.exp(gap + ref_log_gamma(1.0 - args.b))
         header = ["m", "estimate", "abs_err_vs_oracle", "tail_corrected"]

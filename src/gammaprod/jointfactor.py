@@ -254,14 +254,18 @@ def _shifted(spec: JointFactorSpec) -> tuple[float, float, float, tuple[float, f
     return b * (x + b - 1.0), 1.0 - b, x + b, (1.0, x, -b)
 
 
+def _log_first(x: float, b: float) -> float:
+    """ln of the k = 1 factor x / [(1-b)(x+b)], that is ln f_1(x, b)."""
+    return math.log(x / (x + b)) - math.log1p(-b)
+
+
 def _log_truncate(spec: JointFactorSpec, m: int, tail: bool = False) -> float:
     """ln f_m, or with ``tail`` ln f: the k = 1 factor's log in closed form
     plus m-1 shifted factors (and with ``tail`` the rest of the product)."""
     c, u, v, roots = _shifted(spec)
     if c == 0.0 and math.fsum((spec.x, spec.b, -1.0)) == 0.0:  # x + b = 1 exactly: every factor is 1
         return 0.0
-    first = math.log(spec.x / v) - math.log1p(-spec.b)
-    return first + log_head(c, u, v, roots, m - 1, tail)
+    return _log_first(spec.x, spec.b) + log_head(c, u, v, roots, m - 1, tail)
 
 
 def _exp(log_value: float) -> float:

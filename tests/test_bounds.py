@@ -16,8 +16,11 @@ from gammaprod.bounds import (
     ALZER_BETA,
     MAX_GRID_POINTS,
     _app8_margins,
+    _app9_f1,
     _stirling_mu,
     _stirling_v,
+    _suite_app9,
+    _suite_app10,
     app1_bounds,
     app5_upper,
     app6_beta_bound,
@@ -34,7 +37,7 @@ from gammaprod.bounds import (
     verify_suite,
 )
 from gammaprod.errors import DomainError
-from gammaprod.jointfactor import JointFactorSpec, joint_factor
+from gammaprod.jointfactor import JointFactorSpec, joint_factor, truncate
 from gammaprod.reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -452,6 +455,64 @@ def test_default_suite_reports_are_pinned(suite):
     assert (rep.violations, rep.grid, rep.notes) == (violations, grid_desc, notes)
     assert rep.worst_margin.hex() == worst_hex
     assert rep.holds is (violations == 0)
+
+
+# The suites form each margin from only the bounds its check reads; these are
+# the same margins formed per point from the public functions, which the
+# column forms must equal bit for bit.
+_APP9_MARGIN_AT = {
+    "A < Gamma": lambda x: ref_gamma(x) - app9_alzer(x)[0],
+    "Gamma < D": lambda x: app9_alzer(x)[1] - ref_gamma(x),
+    "D < Gamma": lambda x: ref_gamma(x) - app9_alzer(x)[1],
+    "Gamma < E": lambda x: app9_alzer(x)[2] - ref_gamma(x),
+    "K1 <= Gamma": lambda x: ref_gamma(x) - app9_refined(x, 1)[0],
+    "L1 >= Gamma": lambda x: app9_refined(x, 1)[1] - ref_gamma(x),
+    "K1 >= A": lambda x: app9_refined(x, 1)[0] - app9_alzer(x)[0],
+    "L1 <= D": lambda x: app9_alzer(x)[1] - app9_refined(x, 1)[1],
+    "L1 <= E": lambda x: app9_alzer(x)[2] - app9_refined(x, 1)[1],
+}
+
+
+def test_app9_f1_is_the_one_factor_truncate_bit_for_bit():
+    # every grid that reads f_1 (gamma side and refinements), x = 1/2 and the least double
+    xs = [x for check in _suite_app9(None, None, None, None)[0][2:] for x in check.grid] + [0.5, 5e-324]
+    assert [_app9_f1(x).hex() for x in xs] == [truncate(JointFactorSpec(x, 0.5), 1).hex() for x in xs]
+    assert _app9_f1(0.5) == 1.0
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_app9_columns_equal_the_public_functions_bit_for_bit(i):
+    check = _suite_app9(None, None, None, None)[0][i]
+    columns = check.margins(check.grid, **check.kwargs)
+    assert len(columns) in (1, 2)  # each default grid lies on one side of its split
+    for label, ms in columns.items():
+        (margin,) = [f for key, f in _APP9_MARGIN_AT.items() if label.startswith(key)]
+        assert ms == [margin(x) for x in check.grid], label
+
+
+def test_app10_columns_equal_the_public_functions_bit_for_bit():
+    (main, improvement, remark), _ = _suite_app10(None, None, None, None)
+    xs = main.grid
+    v = [_stirling_v(x) for x in xs]
+    assert main.margins(xs) == {
+        "schuster lower <= v": [vx - schuster_bounds(x)[0] for x, vx in zip(xs, v)],
+        "v <= schuster upper": [schuster_bounds(x)[1] - vx for x, vx in zip(xs, v)],
+        "v < 1/(12x) + rhs (0,1/2)": [1.0 / (12.0 * x) + app10_truncate_rhs(x) - vx for x, vx in zip(xs, v) if x < 0.5],
+        "v > rhs (1/2,inf)": [vx - app10_truncate_rhs(x) for x, vx in zip(xs, v) if x > 0.5],
+    }
+    xs = improvement.grid
+    assert improvement.margins(xs) == {"rhs of (i) < schuster upper (0,1/2)":
+                                       [schuster_bounds(x)[1] - (1.0 / (12.0 * x) + app10_truncate_rhs(x)) for x in xs]}
+    xs = remark.grid
+    assert remark.margins(xs) == {
+        "mu lower bound positive [0.144,0.5)": [app10_mu_lower(x) for x in xs],
+        "mu > lower bound [0.144,0.5)": [_stirling_mu(x) - app10_mu_lower(x) for x in xs],
+    }
+    # the public functions keep their float expressions
+    for x in improvement.grid[::97] + main.grid[::97]:
+        inv = 1.0 / x
+        assert schuster_bounds(x) == ((-1.0 / 24.0) * (inv + inv**3 / 120.0), (-1.0 / 24.0) * (inv - inv**3 / 8.0))
+        assert app10_truncate_rhs(x) == math.log(4.0 * math.sqrt(x) / ((1.0 + 2.0 * x) * SQRT_PI))
 
 
 @pytest.mark.parametrize("suite, kw", [

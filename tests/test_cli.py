@@ -373,6 +373,45 @@ def test_coeffs_range_error_names_the_flag_typed(capsys):
     assert "--n must lie in [1, 2000], got 100000" in err and "N must" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gamma", "--q", "1", "--p", "4", "--m", "0"), "--m must lie in [1, 2^53], got 0"),
+    (("beta", "--x", "0.5", "--y", "0.5", "--m", "0"), "--m must lie in [1, 2^53], got 0"),
+    (("jointfactor", "--x", "0.5", "--b", "0.5", "--m", "0"), "--m must lie in [1, 2^53], got 0"),
+    (("jointfactor", "--x", "0.5", "--b", "0.5", "--m", str(2**53 + 1)), f"--m must lie in [1, 2^53], got {2**53 + 1}"),
+    (("identity", "--name", "sin", "--x", "0.3", "--m", "0"), "--m must lie in [1, 2^53], got 0"),
+    (("bounds", "--suite", "app6", "--m", "0"), "--m must lie in [1, 2^53], got 0"),
+    (("convergence", "--target", "jointfactor", "--x", "0.3", "--b", "0.2", "--m-list", f"1,{2**53 + 1}"),
+     f"--m-list must lie in [1, 2^53], got {2**53 + 1}"),
+    (("digamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
+    (("trigamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
+])
+def test_head_length_errors_name_the_flag_typed(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"domain error: {message}\n"
+
+
+@pytest.mark.parametrize("grid, message", [
+    (("--lo", "-1", "--hi", "0.5"), "x must be positive, got -1.0"),
+    (("--lo", "0", "--hi", "0.5"), "x must be positive, got 0.0"),
+    (("--lo", "1e-320"), "the power-law bounds exceed the double range at x = 1e-320"),
+    # A(x + 1/2) itself overflows; below that, only unread powers did
+    (("--hi", "1000"), "the power-law bounds exceed the double range at x = 297.96664864864863"),
+], ids=["negative-lo", "zero-lo", "subnormal-lo", "hi-1000"])
+def test_app9_grid_domain_errors(capsys, grid, message):
+    code, out, err = invoke(capsys, "bounds", "--suite", "app9", *grid)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"domain error: {message}\n"
+
+
+def test_app9_reports_where_only_an_unread_power_overflows(capsys):
+    # E(x + 1/2) overflows from x = 144.01 on, but K1 >= A reads only A
+    code, out, _ = invoke(capsys, "bounds", "--suite", "app9", "--hi", "200")
+    assert code == EXIT_VIOLATION
+    notes = json.loads(out)["notes"]
+    assert "K1 >= A on [0.241,200): 1/999 points violate (worst margin -0.24167)" in notes
+
+
 def test_domain_error_exit(capsys):
     code, _, err = invoke(capsys, "gamma", "--q", "0", "--p", "4")
     assert code == EXIT_DOMAIN
