@@ -73,13 +73,16 @@ class App1Result:
 
 def uniform_grid(lo: float, hi: float, points: int, include_lo: bool = True, include_hi: bool = True) -> list[float]:
     """Deterministic uniform grid on [lo, hi]; endpoints dropped on request
-    (pole / equality cases)."""
+    (pole / equality cases).  A span hi - lo beyond the double range is a
+    ``DomainError``."""
     if points < 1:
         raise DomainError("points must be >= 1")
     if points > MAX_GRID_POINTS:
         raise DomainError(f"points must be <= {MAX_GRID_POINTS}, got {points}")
     if hi <= lo:
         raise DomainError("need hi > lo")
+    if hi - lo == math.inf:
+        raise DomainError(f"the span hi - lo exceeds the double range: lo = {lo!r}, hi = {hi!r}")
     step = (hi - lo) / (points - 1) if points > 1 else 0.0
     xs = [lo + i * step for i in range(points)] if points > 1 else [lo]
     if not include_lo:
@@ -109,7 +112,10 @@ def app1_bounds(p: int) -> App1Result:
     bound_pos = math.exp(log_pos)
     bound_neg = -(math.pi / math.sin(math.pi / p)) * (2.0 * math.pi) ** (1.0 - 1.0 / p)
     gamma_pos = ref_gamma(1.0 / p)
-    gamma_neg = -math.pi / ((1.0 / p) * math.sin(math.pi / p) * gamma_pos)
+    scale = (1.0 / p) * math.sin(math.pi / p)
+    if scale == 0.0:
+        raise DomainError(f"(1/p) sin(pi/p) underflows to 0 at p = {p:g}")
+    gamma_neg = -math.pi / (scale * gamma_pos)
     return App1Result(
         p,
         bound_pos,
@@ -205,28 +211,27 @@ def app9_refined(x: float, m: int) -> tuple[float, float]:
     K_m is a lower bound of Gamma on (0, 1/2), L_m an upper bound on
     (1/2, inf); both tighten monotonically in m.
     """
+    return _app9_k(x, m), _app9_l(x, m)
+
+
+def _app9_f(x: float, m: int) -> float:
+    """f_m(x, 1/2); at m = 1, exp of the first factor's closed log, which is
+    truncate(JointFactorSpec(x, 0.5), 1) bit for bit and 1.0 at x = 1/2
+    (inf and NaN take truncate's path, to its JointFactorSpec error)."""
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    fm = truncate(JointFactorSpec(x, 0.5), m)
-    a, _, e = app9_alzer(x + 0.5)
-    return _SQRT_PI * a / fm, _SQRT_PI * e / fm
+    if m == 1 and x < math.inf:
+        return math.exp(_log_first(x, 0.5))
+    return truncate(JointFactorSpec(x, 0.5), m)
 
+# K_m and L_m, each forming only its own power-law bound.
+def _app9_k(x: float, m: int) -> float:
+    fm = _app9_f(x, m)
+    return _SQRT_PI * _alzer_a(x + 0.5) / fm
 
-def _app9_f1(x: float) -> float:
-    """f_1(x, 1/2) from its closed log: truncate(JointFactorSpec(x, 0.5), 1)
-    bit for bit, 1.0 at x = 1/2."""
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    return math.exp(_log_first(x, 0.5))
-
-# K_1 and L_1 of app9_refined(x, 1), bit for bit, each forming only its own bound.
-def _app9_k1(x: float) -> float:
-    f1 = _app9_f1(x)
-    return _SQRT_PI * _alzer_a(x + 0.5) / f1
-
-def _app9_l1(x: float) -> float:
-    f1 = _app9_f1(x)
-    return _SQRT_PI * _alzer_e(x + 0.5) / f1
+def _app9_l(x: float, m: int) -> float:
+    fm = _app9_f(x, m)
+    return _SQRT_PI * _alzer_e(x + 0.5) / fm
 
 
 def _stirling_mu(x: float) -> float:
@@ -323,7 +328,10 @@ def _app5_margins(alphas: Sequence[float]) -> _Columns:
 def _app6_margins(ys: Sequence[float], xs: tuple[float, ...], ms: tuple[int, ...]) -> _Columns:
     out = {}
     for x in xs:
-        b_true = [math.exp(ref_log_gamma(x) + ref_log_gamma(y) - ref_log_gamma(x + y)) for y in ys]
+        try:
+            b_true = [math.exp(ref_log_gamma(x) + ref_log_gamma(y) - ref_log_gamma(x + y)) for y in ys]
+        except OverflowError:  # B ~ 1/y falls in y, so the grid's least y overflows first
+            raise DomainError(f"B(x, y) exceeds the double range at y = {ys[0]!r} (x = {x:g})") from None
         for m in ms:
             parts = [app6_beta_bound(x, y, m) for y in ys]
             if x < 1.0:
@@ -368,16 +376,16 @@ def _app9_bracket_margins(xs: Sequence[float]) -> _Columns:
 def _app9_gamma_side_margins(xs: Sequence[float]) -> _Columns:
     below, above = _split(xs, 0.5)
     return _labeled(
-        ("K1 <= Gamma (0,1/2)", [ref_gamma(x) - _app9_k1(x) for x in below]),
-        ("L1 >= Gamma (1/2,inf)", [_app9_l1(x) - ref_gamma(x) for x in above]),
+        ("K1 <= Gamma (0,1/2)", [ref_gamma(x) - _app9_k(x, 1) for x in below]),
+        ("L1 >= Gamma (1/2,inf)", [_app9_l(x, 1) - ref_gamma(x) for x in above]),
     )
 
 # margin of each refinement claim at x; the refinement is formed first, as it
 # checks x > 0, so -L1 + D is the sum D - L1 with its terms in that order
 _APP9_CLAIMS = {
-    "K1 >= A": lambda x: _app9_k1(x) - _alzer_a(x),
-    "L1 <= D": lambda x: -_app9_l1(x) + _alzer_d(x),
-    "L1 <= E": lambda x: -_app9_l1(x) + _alzer_e(x),
+    "K1 >= A": lambda x: _app9_k(x, 1) - _alzer_a(x),
+    "L1 <= D": lambda x: -_app9_l(x, 1) + _alzer_d(x),
+    "L1 <= E": lambda x: -_app9_l(x, 1) + _alzer_e(x),
 }
 
 def _app9_refinement_margins(xs: Sequence[float], which: str) -> _Columns:
@@ -514,9 +522,9 @@ def _suite_app9(lo, hi, points, m) -> _Plan:
         failed = {label for label, ms in columns.items() if not all(v > 0.0 for v in ms)}
         cited = []
         if i1 in failed and i_lo <= 0.3 < i_hi:
-            cited.append(f"K1(0.3) = {app9_refined(0.3, 1)[0]:.6f} < A(0.3) = {app9_alzer(0.3)[0]:.6f}")
+            cited.append(f"K1(0.3) = {_app9_k(0.3, 1):.6f} < A(0.3) = {_alzer_a(0.3):.6f}")
         if p1 in failed:
-            cited.append(f"L1(1.562) = {app9_refined(1.562, 1)[1]:.6f} > E(1.562) = {app9_alzer(1.562)[2]:.6f}")
+            cited.append(f"L1(1.562) = {_app9_l(1.562, 1):.6f} > E(1.562) = {_alzer_e(1.562):.6f}")
         return ["refinement counterexamples are genuine, not numerical: " + "; ".join(cited)] if cited else []
 
     return checks, notes
@@ -554,8 +562,9 @@ def verify_suite(
     ``lo``/``hi``/``points`` override the suite's primary grid (for app1 and
     app7 they are integer ranges, which ``points`` cannot reach: it is a
     ``DomainError`` there, as it is for app8 without ``lo`` or ``hi``);
-    ``lo`` and ``hi`` must be finite, and a grid must hold at least one and
-    at most ``MAX_GRID_POINTS`` points; a check whose grid is empty is a
+    ``lo`` and ``hi`` must be finite, as must a float grid's ``hi - lo``,
+    and a grid must hold at least one and at most ``MAX_GRID_POINTS``
+    points; a check whose grid is empty is a
     ``DomainError`` naming it, raised before any point is evaluated.  ``m``
     overrides the truncation order used by the bound being tested in app6,
     app7 and app8, at O(1) cost per point whatever m, and is a

@@ -216,6 +216,9 @@ def _dict_to_csv(payload: dict) -> str:
 
 
 def _do_gamma(args) -> tuple[Any, int]:
+    for flag, value in (("--q", args.q), ("--p", args.p)):
+        if value < 1:
+            raise DomainError(f"{flag} must be a positive integer, got {value}")
     arg = RationalArgument(args.q, args.p)
     gv = gamma_rational(arg, _policy(args))
     oracle = ref_gamma(arg.value)
@@ -349,7 +352,8 @@ def _do_identity(args) -> tuple[Any, int]:
 
 def _do_bounds(args) -> tuple[Any, int]:
     m = None if args.m is None else _in_range("--m", args.m, _HEAD_MAX)
-    report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=args.points, m=m)
+    points = None if args.points is None else _in_range("--points", args.points, bounds_mod.MAX_GRID_POINTS)
+    report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=points, m=m)
     payload = {
         "op": "bounds",
         "suite": report.suite,

@@ -77,9 +77,10 @@ _GAMMA_HALF = GammaValue(math.sqrt(math.pi), _LOG_SQRT_PI, math.exp(-_LOG_SQRT_P
 class _FactorTable(NamedTuple):
     """Everything Gamma(q/p) reads for one denominator p >= 3.
 
-    mu_k = ln f(k/p, 1/p) for k < p, prefix[j] = fsum(mu[:j]), v_k =
+    mu_k = ln f(k/p, 1/p) for k < p-1, prefix[j] = fsum(mu[:j]), v_k =
     ln f(1/p, k/p) for k < p-1, v_sum = fsum(v), and values[q-1] the
-    finished Gamma(q/p) for every q < p.
+    finished Gamma(q/p) for every q < p, which reads prefix[q-1]: no value
+    reads mu_{p-1}, so the table does not form it.
     """
 
     mu: tuple[float, ...]
@@ -94,7 +95,7 @@ def _factor_log(p: int, policy: TruncationPolicy) -> _FactorTable:
     """p's factor table, filled once in O(p) and read by every Gamma(q/p)."""
     if p > _MAX_TABLE_DEN:
         raise DomainError(f"denominator {p} exceeds the factor-table limit {_MAX_TABLE_DEN}")
-    mu = tuple(joint_factor(JointFactorSpec(k / p, 1 / p), policy).log_value for k in range(1, p))
+    mu = tuple(joint_factor(JointFactorSpec(k / p, 1 / p), policy).log_value for k in range(1, p - 1))
     v = tuple(joint_factor(JointFactorSpec(1 / p, k / p), policy).log_value for k in range(1, p - 1))
     # prefix in O(p): each mu_k is an integer multiple of 1/den (den a power of
     # two), so every running sum is an exact integer, rounded once as by fsum

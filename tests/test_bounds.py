@@ -16,7 +16,7 @@ from gammaprod.bounds import (
     ALZER_BETA,
     MAX_GRID_POINTS,
     _app8_margins,
-    _app9_f1,
+    _app9_f,
     _stirling_mu,
     _stirling_v,
     _suite_app9,
@@ -418,6 +418,21 @@ def test_uniform_grid_endpoints():
         uniform_grid(1.0, 0.0, 5)
 
 
+def test_uniform_grid_refuses_a_span_beyond_the_double_range():
+    with pytest.raises(DomainError, match=r"lo = -1e\+308, hi = 1e\+308"):
+        uniform_grid(-1e308, 1e308, 3)
+    # the widest finite spans keep lo + i * step, with step = (hi - lo) / (points - 1)
+    for lo, hi in ((-7e307, 1e308), (0.0, 1.7976931348623157e308), (-1.7976931348623157e308, 0.0)):
+        step = (hi - lo) / 4
+        assert uniform_grid(lo, hi, 5) == [lo + i * step for i in range(5)]
+
+
+def test_app1_refuses_a_p_whose_reflection_underflows():
+    assert app1_bounds(10**162).neg_direction  # still reports
+    with pytest.raises(DomainError, match=r"p = 2e\+162"):
+        app1_bounds(2 * 10**162)
+
+
 # Every default suite's report, pinned bit for bit: grid, violation count,
 # notes (they carry the per-label counts of each violated claim) and the worst
 # margin's exact bits, so that a change to how the grids are evaluated cannot
@@ -476,8 +491,8 @@ _APP9_MARGIN_AT = {
 def test_app9_f1_is_the_one_factor_truncate_bit_for_bit():
     # every grid that reads f_1 (gamma side and refinements), x = 1/2 and the least double
     xs = [x for check in _suite_app9(None, None, None, None)[0][2:] for x in check.grid] + [0.5, 5e-324]
-    assert [_app9_f1(x).hex() for x in xs] == [truncate(JointFactorSpec(x, 0.5), 1).hex() for x in xs]
-    assert _app9_f1(0.5) == 1.0
+    assert [_app9_f(x, 1).hex() for x in xs] == [truncate(JointFactorSpec(x, 0.5), 1).hex() for x in xs]
+    assert _app9_f(0.5, 1) == 1.0
 
 
 @pytest.mark.parametrize("i", range(7))

@@ -384,6 +384,8 @@ def test_coeffs_range_error_names_the_flag_typed(capsys):
      f"--m-list must lie in [1, 2^53], got {2**53 + 1}"),
     (("digamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
     (("trigamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
+    (("gamma", "--q", "0", "--p", "3"), "--q must be a positive integer, got 0"),
+    (("bounds", "--suite", "app10", "--points", "0"), "--points must lie in [1, 1000000], got 0"),
 ])
 def test_head_length_errors_name_the_flag_typed(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)
@@ -400,6 +402,22 @@ def test_head_length_errors_name_the_flag_typed(capsys, argv, message):
 ], ids=["negative-lo", "zero-lo", "subnormal-lo", "hi-1000"])
 def test_app9_grid_domain_errors(capsys, grid, message):
     code, out, err = invoke(capsys, "bounds", "--suite", "app9", *grid)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"domain error: {message}\n"
+
+
+_SPAN = ("--lo", "-1e308", "--hi", "1e308", "--points", "3")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("app6", "--lo", "1e-320", "--hi", "1e-319", "--points", "3"),
+     "B(x, y) exceeds the double range at y = 1e-320 (x = 0.25)"),
+    (("app1", "--lo", "2e162", "--hi", "2e162"), "(1/p) sin(pi/p) underflows to 0 at p = 2e+162"),
+    *[((suite, *_SPAN), "the span hi - lo exceeds the double range: lo = -1e+308, hi = 1e+308")
+      for suite in ("app5", "app6", "app9", "app10")],
+], ids=["app6-tiny-y", "app1-huge-p", "app5-span", "app6-span", "app9-span", "app10-span"])
+def test_bounds_beyond_the_double_range_are_domain_errors(capsys, argv, message):
+    code, out, err = invoke(capsys, "bounds", "--suite", *argv)
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err == f"domain error: {message}\n"
 

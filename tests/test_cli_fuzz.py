@@ -22,15 +22,20 @@ floats = st.floats(allow_nan=True, allow_infinity=True)
 # heads up to 10^9, and from 2^53 (the largest accepted) to beyond the double range
 huge_orders = st.integers(min_value=2**53, max_value=10**400)
 orders = st.one_of(st.integers(max_value=10**9), huge_orders)
-# gamma fills one table of 2p-3 joint factors for each new denominator p up to
+# gamma fills one table of 2p-4 joint factors for each new denominator p up to
 # 1024 (tens of ms each) and exits 1 at once above it; q and p up to 10^4 cover
 # both sides of that cap
 fractions = st.integers(min_value=-10, max_value=10**4)
 # grid sizes around the defaults, plus one far beyond the 10^6-point cap (refused
 # before any point is evaluated)
 grid_points = st.one_of(st.integers(min_value=-5, max_value=3000), st.just(10**9))
-# grid ends: any float, and often one inside a suite's own range
-grid_ends = st.one_of(floats, st.floats(min_value=-2.0, max_value=120.0))
+# grid ends: any float, often one inside a suite's own range, and often one near
+# the double range, where hi - lo, 1/p or B ~ 1/y overflow
+grid_ends = st.one_of(
+    floats,
+    st.floats(min_value=-2.0, max_value=120.0),
+    st.sampled_from([-1.7976931348623157e308, -1e308, 1e-320, 2e162, 1e308, 1.7976931348623157e308]),
+)
 # app6's, app7's and app8's bounds are truncates, O(1) per point in m, so
 # m up to 10^9 is quick
 suite_orders = st.one_of(

@@ -73,6 +73,7 @@ def test_gamma_value_internal_consistency():
         table = _factor_log(p, TruncationPolicy())
         mu, v = table.mu[: q - 1], table.v
         assert len(mu) == q - 1 and len(v) == p - 2
+        assert len(table.mu) == p - 2  # mu_{p-1} feeds no value
         rebuilt = log_c_constant(p, q) + math.fsum(mu) - (q / p) * math.fsum(v)
         assert rebuilt == pytest.approx(gv.log_value, abs=1e-13)
 
