@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 
 from .errors import DomainError
 from .gamma import beta_partial
-from .jointfactor import _STIRLING, JointFactorSpec, TruncationPolicy, _log_first, joint_factor, truncate
+from .jointfactor import _STIRLING, JointFactorSpec, _check_m, _log_first, joint_factor, truncate
 from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -80,7 +80,7 @@ def uniform_grid(lo: float, hi: float, points: int, include_lo: bool = True, inc
     if points > MAX_GRID_POINTS:
         raise DomainError(f"points must be <= {MAX_GRID_POINTS}, got {points}")
     if hi <= lo:
-        raise DomainError("need hi > lo")
+        raise DomainError(f"need hi > lo, got lo = {lo!r}, hi = {hi!r}")
     if hi - lo == math.inf:
         raise DomainError(f"the span hi - lo exceeds the double range: lo = {lo!r}, hi = {hi!r}")
     step = (hi - lo) / (points - 1) if points > 1 else 0.0
@@ -104,18 +104,17 @@ def app1_bounds(p: int) -> App1Result:
     truncates over-estimate their joint factors, bound_pos under-estimates
     Gamma(1/p): it is a lower bound (the report records the direction that
     actually holds).  bound_neg = -[pi / sin(pi/p)] (2 pi)^{1 - 1/p} is a
-    crude lower bound of Gamma(-1/p).
+    crude lower bound of Gamma(-1/p).  gamma_neg has no subnormal step, so
+    the first p refused is the oracle's ln Gamma(p) overflow near 2.56e305.
     """
     if p < 3:
         raise DomainError(f"p must be >= 3, got {p}")
     log_pos = (1.0 - 1.0 / p) * math.log(2.0 * math.pi / p) + (2.0 / p) * ref_log_gamma(float(p))
     bound_pos = math.exp(log_pos)
-    bound_neg = -(math.pi / math.sin(math.pi / p)) * (2.0 * math.pi) ** (1.0 - 1.0 / p)
+    reflect = math.pi / math.sin(math.pi / p)
+    bound_neg = -reflect * (2.0 * math.pi) ** (1.0 - 1.0 / p)
     gamma_pos = ref_gamma(1.0 / p)
-    scale = (1.0 / p) * math.sin(math.pi / p)
-    if scale == 0.0:
-        raise DomainError(f"(1/p) sin(pi/p) underflows to 0 at p = {p:g}")
-    gamma_neg = -math.pi / (scale * gamma_pos)
+    gamma_neg = -reflect / (gamma_pos / p)  # Gamma(-t) = -pi / (sin(pi t) Gamma(t) t), t = 1/p
     return App1Result(
         p,
         bound_pos,
@@ -142,11 +141,11 @@ def app6_beta_bound(x: float, y: float, m: int) -> float:
     return beta_partial(x, y, m)
 
 
-def app7_ball_ratio(n: int, policy: TruncationPolicy = TruncationPolicy()) -> float:
+def app7_ball_ratio(n: int) -> float:
     """Ratio of consecutive unit-ball volumes: O_{n-1}/O_n = f((n+1)/2, 1/2)/pi."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return joint_factor(JointFactorSpec((n + 1.0) / 2.0, 0.5), policy).value / math.pi
+    return joint_factor(JointFactorSpec((n + 1.0) / 2.0, 0.5)).value / math.pi
 
 
 def app7_bounds(n: int, s: int, m: int) -> tuple[float, float]:
@@ -161,11 +160,11 @@ def app7_bounds(n: int, s: int, m: int) -> tuple[float, float]:
     return lower, upper
 
 
-def app8_wallis(alpha: float, policy: TruncationPolicy = TruncationPolicy()) -> float:
+def app8_wallis(alpha: float) -> float:
     """Wallis integral I_alpha = int_0^{pi/2} sin^alpha = (1/alpha) f(alpha/2, 1/2)."""
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    return joint_factor(JointFactorSpec(alpha / 2.0, 0.5), policy).value / alpha
+    return joint_factor(JointFactorSpec(alpha / 2.0, 0.5)).value / alpha
 
 
 def app8_bound(alpha: float, m: int) -> float:
@@ -211,6 +210,7 @@ def app9_refined(x: float, m: int) -> tuple[float, float]:
     K_m is a lower bound of Gamma on (0, 1/2), L_m an upper bound on
     (1/2, inf); both tighten monotonically in m.
     """
+    _check_m(m)  # before _app9_f's m = 1 path, which would take m = 1.0 or True
     return _app9_k(x, m), _app9_l(x, m)
 
 

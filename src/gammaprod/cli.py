@@ -219,6 +219,8 @@ def _do_gamma(args) -> tuple[Any, int]:
     for flag, value in (("--q", args.q), ("--p", args.p)):
         if value < 1:
             raise DomainError(f"{flag} must be a positive integer, got {value}")
+    if args.q > args.p:
+        raise DomainError(f"--q must not exceed --p, got --q {args.q} --p {args.p}")
     arg = RationalArgument(args.q, args.p)
     gv = gamma_rational(arg, _policy(args))
     oracle = ref_gamma(arg.value)
@@ -353,6 +355,8 @@ def _do_identity(args) -> tuple[Any, int]:
 def _do_bounds(args) -> tuple[Any, int]:
     m = None if args.m is None else _in_range("--m", args.m, _HEAD_MAX)
     points = None if args.points is None else _in_range("--points", args.points, bounds_mod.MAX_GRID_POINTS)
+    if args.lo is not None and args.hi is not None and args.hi < args.lo:
+        raise DomainError(f"--hi must not lie below --lo, got --lo {args.lo!r} --hi {args.hi!r}")
     report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=points, m=m)
     payload = {
         "op": "bounds",

@@ -191,22 +191,6 @@ def gamma_negative(arg: RationalArgument, policy: TruncationPolicy = TruncationP
     return -math.pi / (t * math.sin(math.pi * t) * math.exp(log_gamma_t))
 
 
-def gamma_negative_duplication(arg: RationalArgument, policy: TruncationPolicy = TruncationPolicy()) -> float:
-    """Gamma(-q/p) through the half-argument route: with t = 2y,
-    Gamma(-2y) = -[2^{-2y} / (sin(2 pi y) y f(y, 1/2))] [pi / Gamma(y)]^2.
-
-    Equal to :func:`gamma_negative` up to rounding; kept as a cross-check.
-    """
-    if arg.q >= arg.p:
-        raise DomainError(f"need 0 < q/p < 1, got {arg.q}/{arg.p}")
-    t = arg.value
-    y = 0.5 * t
-    log_f = joint_factor(JointFactorSpec(y, 0.5), policy).log_value
-    log_gamma_y = gamma_rational(RationalArgument(arg.q, 2 * arg.p), policy).log_value
-    log_mag = -t * math.log(2.0) - math.log(y) - log_f + 2.0 * (math.log(math.pi) - log_gamma_y)
-    return -math.exp(log_mag) / math.sin(math.pi * t)
-
-
 def _beta_product(x: float, y: float, m: int, tail: bool) -> float:
     """The k = 1 factor (x+y) / [(1+y) x] over y, then the factors
     j = k-1 >= 1, (j+1)(j+x+y) / [(j+1+y)(j+x)]: c = y (1-x), u = 1+y,
@@ -249,7 +233,6 @@ __all__ = [
     "gamma_ratio",
     "gamma_duplication",
     "gamma_negative",
-    "gamma_negative_duplication",
     "beta",
     "beta_partial",
     "log_c_constant",

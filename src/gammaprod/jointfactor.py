@@ -78,10 +78,13 @@ class JointFactorSpec:
         return math.copysign(1.0, d) if d != 0.0 else 0.0
 
 
-def _check_m(m: int) -> None:
-    """A head length in [1, 2^53]: beyond 2^53, m + 1 is not exact."""
-    if not 1 <= m <= 2**53:
-        raise DomainError(f"m must lie in [1, 2^53], got {m}")
+def _check_m(m: int, name: str = "m", low: int = 1) -> None:
+    """A head length ``name``: an int, not a bool or a float, in [low, 2^53];
+    beyond 2^53, m + 1 is not exact."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"{name} must be an int, got {m!r}")
+    if not low <= m <= 2**53:
+        raise DomainError(f"{name} must lie in [{low}, 2^53], got {m}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .jointfactor import _STIRLING
+from .jointfactor import _STIRLING, _check_m
 from .reference import EULER_GAMMA, power_tail
 
 # B_2j/(2j) and B_2j from the Stirling coefficients B_2j/(2j (2j-1)).
@@ -43,8 +43,7 @@ class PolygammaResult:
 def _validate(t: float, n0: int) -> None:
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0, 1), got {t}")
-    if not 10 <= n0 <= 2**53:  # beyond 2^53, n0 + t cannot hold t
-        raise DomainError(f"n0 must lie in [10, 2^53], got {n0}")
+    _check_m(n0, "n0", 10)  # beyond 2^53, n0 + t cannot hold t
 
 
 def _finite(value: float, name: str, t: float) -> float:

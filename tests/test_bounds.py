@@ -414,8 +414,11 @@ def test_uniform_grid_endpoints():
     assert g == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert uniform_grid(0.0, 1.0, 5, include_lo=False)[0] == 0.25
     assert uniform_grid(0.0, 1.0, 5, include_hi=False)[-1] == 0.75
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"need hi > lo, got lo = 1\.0, hi = 0\.0"):
         uniform_grid(1.0, 0.0, 5)
+    # one end the suite's default: the message names both values as run
+    with pytest.raises(DomainError, match=r"need hi > lo, got lo = 2\.0, hi = 0\.999"):
+        verify_suite("app5", lo=2.0)
 
 
 def test_uniform_grid_refuses_a_span_beyond_the_double_range():
@@ -427,10 +430,18 @@ def test_uniform_grid_refuses_a_span_beyond_the_double_range():
         assert uniform_grid(lo, hi, 5) == [lo + i * step for i in range(5)]
 
 
-def test_app1_refuses_a_p_whose_reflection_underflows():
-    assert app1_bounds(10**162).neg_direction  # still reports
-    with pytest.raises(DomainError, match=r"p = 2e\+162"):
-        app1_bounds(2 * 10**162)
+def test_app1_reflection_matches_mpmath_up_to_the_ln_gamma_overflow(capsys):
+    # gamma_neg = -[pi / sin(pi/p)] / [Gamma(1/p) / p] has no subnormal step,
+    # so it keeps full precision until the oracle's ln Gamma(p) overflows
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for p in (*range(3, 13), 10**9, 10**155, 10**162, 2 * 10**162, 10**300, 25 * 10**304):
+            want = mpmath.gamma(-mpmath.mpf(1) / p)
+            assert abs(app1_bounds(p).gamma_neg / want - 1) <= 1e-15, p
+    assert run(["bounds", "--suite", "app1", "--lo", "2e162", "--hi", "2e162"]) == 0
+    capsys.readouterr()
+    with pytest.raises(DomainError, match=r"ln Gamma\(2\.6e\+305\) exceeds the double range"):
+        app1_bounds(26 * 10**304)
 
 
 # Every default suite's report, pinned bit for bit: grid, violation count,
@@ -728,3 +739,21 @@ def test_app10_beyond_a_million_is_a_domain_error(capsys):
     out = capsys.readouterr()
     assert (code, out.out) == (1, "")
     assert "1e6" in out.err
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: app7_bounds(0, 5, 5), "n, s, m must all be >= 1"),
+    (lambda: app7_bounds(3, 0, 5), "n, s, m must all be >= 1"),
+    (lambda: app7_bounds(3, 5, 0), "n, s, m must all be >= 1"),
+    (lambda: app8_bound(0.0, 1), "alpha must be positive, got 0.0"),
+    (lambda: app8_bound(-2.0, 3), "alpha must be positive, got -2.0"),
+    (lambda: app9_alzer(0.0), "x must be positive, got 0.0"),
+    (lambda: app9_alzer(-1.0), "x must be positive, got -1.0"),
+    (lambda: app10_truncate_rhs(0.0), "x must be positive, got 0.0"),
+    (lambda: app10_truncate_rhs(-0.5), "x must be positive, got -0.5"),
+], ids=["app7-n0", "app7-s0", "app7-m0", "app8-zero", "app8-negative", "app9-zero", "app9-negative",
+        "app10-zero", "app10-negative"])
+def test_bound_families_refuse_arguments_below_their_domain(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

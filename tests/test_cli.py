@@ -386,6 +386,8 @@ def test_coeffs_range_error_names_the_flag_typed(capsys):
     (("trigamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
     (("gamma", "--q", "0", "--p", "3"), "--q must be a positive integer, got 0"),
     (("bounds", "--suite", "app10", "--points", "0"), "--points must lie in [1, 1000000], got 0"),
+    (("bounds", "--suite", "app5", "--lo", "0.5", "--hi", "0.2"), "--hi must not lie below --lo, got --lo 0.5 --hi 0.2"),
+    (("gamma", "--q", "5", "--p", "3"), "--q must not exceed --p, got --q 5 --p 3"),
 ])
 def test_head_length_errors_name_the_flag_typed(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)
@@ -412,7 +414,7 @@ _SPAN = ("--lo", "-1e308", "--hi", "1e308", "--points", "3")
 @pytest.mark.parametrize("argv, message", [
     (("app6", "--lo", "1e-320", "--hi", "1e-319", "--points", "3"),
      "B(x, y) exceeds the double range at y = 1e-320 (x = 0.25)"),
-    (("app1", "--lo", "2e162", "--hi", "2e162"), "(1/p) sin(pi/p) underflows to 0 at p = 2e+162"),
+    (("app1", "--lo", "2.6e305", "--hi", "2.6e305"), "ln Gamma(2.6e+305) exceeds the double range"),
     *[((suite, *_SPAN), "the span hi - lo exceeds the double range: lo = -1e+308, hi = 1e+308")
       for suite in ("app5", "app6", "app9", "app10")],
 ], ids=["app6-tiny-y", "app1-huge-p", "app5-span", "app6-span", "app9-span", "app10-span"])
@@ -644,3 +646,14 @@ def test_a_bad_command_line_leaves_no_state_behind(capsys):
         assert invoke(capsys, *bad)[0] == EXIT_USAGE
         code, out, err = invoke(capsys, *good)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("argv, code, out_start, err_start", [
+    (("convergence", "--target", "quarter", "--m-list", "1,a"), EXIT_USAGE, "", "usage error: bad --m-list: "),
+    (("--help",), EXIT_OK, "usage: gammaprod", ""),
+], ids=["m-list-not-an-int", "help"])
+def test_usage_branches_end_in_their_exit_code(capsys, argv, code, out_start, err_start):
+    got, out, err = invoke(capsys, *argv)
+    assert got == code
+    assert out.startswith(out_start) and err.startswith(err_start)
+    assert (out == "") == (out_start == "") and (err == "") == (err_start == "")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import g2_closed_form
 from gammaprod.coeffs import (
+    CoeffTable,
     DerivTable,
     g_sequence,
     g_sequence_oracle,
@@ -167,6 +168,10 @@ def test_sum_g_matches_fsum():
         (g_sequence_oracle, (0.0, 0.5, 5)),
         (h_sequence, (0.0, 5)),
         (h_sequence, (1.0, 5)),
+        (h_sequence, (0.5, 0)),
+        (pochhammer, (0.5, -1)),
+        (CoeffTable, (0.3, 0.5, 2, (0.1,))),
+        (DerivTable, (0.5, 1, (-0.5, 0.1))),
     ],
 )
 def test_domain_errors(fn, args):

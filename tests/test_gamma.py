@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_pairs
-from gammaprod.bounds import app7_ball_ratio, app8_wallis
 from gammaprod.errors import DomainError
 from gammaprod.gamma import (
     RationalArgument,
@@ -18,7 +17,6 @@ from gammaprod.gamma import (
     gamma_duplication,
     gamma_inv_p_pow,
     gamma_negative,
-    gamma_negative_duplication,
     gamma_ratio,
     gamma_rational,
     log_c_constant,
@@ -112,6 +110,13 @@ def test_duplication_consistency():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.5, -math.inf])
+def test_duplication_refuses_a_non_positive_x(x):
+    with pytest.raises(DomainError) as err:
+        gamma_duplication(x)
+    assert str(err.value) == f"x must be positive, got {x}"
+
+
 def test_duplication_examples():
     assert gamma_duplication(0.5) == pytest.approx(1.0, rel=1e-12)
     assert gamma_duplication(0.25) == pytest.approx(SQRT_PI, rel=1e-10)
@@ -140,13 +145,6 @@ def test_gamma_negative():
     assert gamma_negative(RationalArgument(1, 2)) == pytest.approx(-2.0 * SQRT_PI, rel=1e-12)
     with pytest.raises(DomainError):
         gamma_negative(RationalArgument(3, 3))
-
-
-def test_gamma_negative_duplication_route_agrees():
-    for q, p in ((1, 3), (1, 2), (2, 5), (3, 7)):
-        a = gamma_negative(RationalArgument(q, p))
-        b_ = gamma_negative_duplication(RationalArgument(q, p))
-        assert b_ == pytest.approx(a, rel=1e-9)
 
 
 def test_negative_cube_reconstruction():
@@ -269,14 +267,10 @@ def test_table_denominator_cap():
         lambda: gamma_rational(RationalArgument(1, 100003)),
         lambda: gamma_negative(RationalArgument(1, 100003)),
         lambda: gamma_inv_p_pow(1025),
-        lambda: gamma_negative_duplication(RationalArgument(1, 513)),  # reads the table of 2p
     ):
         with pytest.raises(DomainError):
             fill()
     assert time.perf_counter() - t0 < 0.1
-    assert gamma_negative_duplication(RationalArgument(1, 512)) == pytest.approx(
-        gamma_negative(RationalArgument(1, 512)), rel=1e-9
-    )
 
 
 @pytest.mark.parametrize("x", [1.7, 0.01, 250.0])
@@ -304,8 +298,6 @@ _POLICY_ENTRY_POINTS = {
     "gamma_duplication": lambda pol: gamma_duplication(2.3, pol),
     "gamma_negative": lambda pol: gamma_negative(RationalArgument(2, 5), pol),
     "beta": lambda pol: beta(2.5, 0.6, pol),
-    "app7_ball_ratio": lambda pol: app7_ball_ratio(7, pol),
-    "app8_wallis": lambda pol: app8_wallis(0.7, pol),
 }
 
 

@@ -130,5 +130,8 @@ def test_domain_errors():
         tan_product(0.5, 10)
     with pytest.raises(DomainError):
         pow2_product(1.0, 10)
+    for bad in (0.0, 1.0, -0.25, 1.5):
+        with pytest.raises(DomainError, match=r"b must lie in \(0, 1\)"):
+            pow2_reference(bad)
     with pytest.raises(DomainError):
         gamma_quarter_squared(0)

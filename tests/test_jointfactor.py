@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid
+from gammaprod.bounds import app9_refined, verify_suite
 from gammaprod.errors import DomainError
 from gammaprod.jointfactor import (
     Estimate,
@@ -24,6 +25,7 @@ from gammaprod.jointfactor import (
     truncate,
 )
 from gammaprod import gamma, identities, jointfactor
+from gammaprod.polygamma import digamma, trigamma
 from gammaprod.reference import ref_log_gamma
 
 
@@ -371,3 +373,27 @@ def test_overflow_is_a_domain_error():
         joint_factor(spec, TruncationPolicy(m=1000))
     with pytest.raises(DomainError, match="overflow"):
         joint_factor_bracket(spec, 1000)
+
+
+_HALF_THIRD = JointFactorSpec(0.3, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: truncate(_HALF_THIRD, 2.0), "m must be an int, got 2.0"),
+    (lambda: truncate(_HALF_THIRD, True), "m must be an int, got True"),
+    (lambda: joint_factor_bracket(_HALF_THIRD, 2.0), "m must be an int, got 2.0"),
+    (lambda: joint_factor(_HALF_THIRD, TruncationPolicy(mode="fixed", m=2.5)), "m must be an int, got 2.5"),
+    (lambda: TruncationPolicy(m=2.5), "m must be an int, got 2.5"),
+    (lambda: verify_suite("app7", m=2.0), "m must be an int, got 2.0"),
+    (lambda: app9_refined(0.3, 2.0), "m must be an int, got 2.0"),
+    (lambda: app9_refined(0.3, 1.0), "m must be an int, got 1.0"),
+    (lambda: app9_refined(0.3, True), "m must be an int, got True"),
+    (lambda: digamma(0.3, 20.5), "n0 must be an int, got 20.5"),
+    (lambda: trigamma(0.3, 10.0), "n0 must be an int, got 10.0"),
+], ids=["truncate-float", "truncate-bool", "bracket-float", "joint_factor-float", "policy-float",
+        "verify_suite-float", "app9_refined-float", "app9_refined-one-float", "app9_refined-bool",
+        "digamma-float", "trigamma-float"])
+def test_a_head_length_that_is_not_an_int_is_a_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

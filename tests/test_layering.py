@@ -3,10 +3,11 @@
 Agreement between a product value and ``gammaprod.reference`` is evidence
 only while the two share no code, so the modules listed here must not
 import from it, and the oracle imports nothing from the package but its
-error type.
+error type.  Every name a module exports in ``__all__`` must resolve.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,11 @@ def test_the_converse_guard_sees_every_spelling():
         "import math\nfrom fractions import Fraction",
     )
     assert _package_imports("\n".join(spellings)) == {"jointfactor", "gamma", "polygamma", "coeffs", "bounds", "gammaprod"}
+
+
+@pytest.mark.parametrize("module", ["gammaprod", "gammaprod.gamma"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
