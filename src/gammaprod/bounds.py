@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Sequence
 
-from .errors import DomainError
+from .errors import HEAD_MAX, DomainError, check_int
 from .gamma import beta_partial
-from .jointfactor import _STIRLING, JointFactorSpec, _check_m, _log_first, joint_factor, truncate
+from .jointfactor import _STIRLING, JointFactorSpec, _log_first, joint_factor, truncate
 from .reference import EULER_GAMMA, ref_gamma, ref_log_gamma
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -75,10 +75,7 @@ def uniform_grid(lo: float, hi: float, points: int, include_lo: bool = True, inc
     """Deterministic uniform grid on [lo, hi]; endpoints dropped on request
     (pole / equality cases).  A span hi - lo beyond the double range is a
     ``DomainError``."""
-    if points < 1:
-        raise DomainError("points must be >= 1")
-    if points > MAX_GRID_POINTS:
-        raise DomainError(f"points must be <= {MAX_GRID_POINTS}, got {points}")
+    check_int(points, "points", 1, MAX_GRID_POINTS)
     if hi <= lo:
         raise DomainError(f"need hi > lo, got lo = {lo!r}, hi = {hi!r}")
     if hi - lo == math.inf:
@@ -107,8 +104,7 @@ def app1_bounds(p: int) -> App1Result:
     crude lower bound of Gamma(-1/p).  gamma_neg has no subnormal step, so
     the first p refused is the oracle's ln Gamma(p) overflow near 2.56e305.
     """
-    if p < 3:
-        raise DomainError(f"p must be >= 3, got {p}")
+    check_int(p, "p", 3)
     log_pos = (1.0 - 1.0 / p) * math.log(2.0 * math.pi / p) + (2.0 / p) * ref_log_gamma(float(p))
     bound_pos = math.exp(log_pos)
     reflect = math.pi / math.sin(math.pi / p)
@@ -143,8 +139,7 @@ def app6_beta_bound(x: float, y: float, m: int) -> float:
 
 def app7_ball_ratio(n: int) -> float:
     """Ratio of consecutive unit-ball volumes: O_{n-1}/O_n = f((n+1)/2, 1/2)/pi."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_int(n, "n", 1)
     return joint_factor(JointFactorSpec((n + 1.0) / 2.0, 0.5)).value / math.pi
 
 
@@ -153,8 +148,9 @@ def app7_bounds(n: int, s: int, m: int) -> tuple[float, float]:
     truncate under-estimates), upper = (n/2) / f_m(n/2, 1/2), with equality
     only at n = 1, where every factor of f(1/2, 1/2) is 1.  O(1) in s and m.
     """
-    if n < 1 or s < 1 or m < 1:
-        raise DomainError("n, s, m must all be >= 1")
+    check_int(n, "n", 1)
+    check_int(m, "m", 1, HEAD_MAX)  # before s: verify_suite's m sets both
+    check_int(s, "s", 1, HEAD_MAX)
     lower = truncate(JointFactorSpec((n + 1.0) / 2.0, 0.5), s) / math.pi
     upper = 0.5 * n / truncate(JointFactorSpec(n / 2.0, 0.5), m)
     return lower, upper
@@ -210,7 +206,7 @@ def app9_refined(x: float, m: int) -> tuple[float, float]:
     K_m is a lower bound of Gamma on (0, 1/2), L_m an upper bound on
     (1/2, inf); both tighten monotonically in m.
     """
-    _check_m(m)  # before _app9_f's m = 1 path, which would take m = 1.0 or True
+    check_int(m, "m", 1, HEAD_MAX)  # before _app9_f's m = 1 path, which would take m = 1.0 or True
     return _app9_k(x, m), _app9_l(x, m)
 
 
@@ -455,7 +451,11 @@ def _fixed_points(suite: str, points: int | None, why: str) -> None:
     if points is not None:
         raise DomainError(f"suite {suite} {why}; points={points} cannot apply")
 
-def _int_grid(lo: float | None, hi: float | None, default_lo: int, default_hi: int) -> range:
+def _int_grid(suite: str, lo: float | None, hi: float | None, default_lo: int, default_hi: int) -> range:
+    """Every integer in [lo, hi]; an end that is not a whole number is refused, not cut to one."""
+    for name, end in (("lo", lo), ("hi", hi)):
+        if end is not None and end != int(end):
+            raise DomainError(f"suite {suite} checks whole numbers only; {name}={end!r} is not one")
     first, last = int(_or(lo, default_lo)), int(_or(hi, default_hi))
     if last - first >= MAX_GRID_POINTS:
         raise DomainError(f"grid [{first}, {last}] has more than {MAX_GRID_POINTS} points")
@@ -469,7 +469,7 @@ def _suite_app1(lo, hi, points, m) -> _Plan:
         dirs = {"lower" if v > 0.0 else "upper" for v in columns.get(_APP1_POS, ())}
         return [f"positive-argument bound direction verified: {sorted(dirs)} (upper-bound reading fails)"]
 
-    return [_Check(_app1_margins, "p", _int_grid(lo, hi, 3, 12))], notes
+    return [_Check(_app1_margins, "p", _int_grid("app1", lo, hi, 3, 12))], notes
 
 def _suite_app5(lo, hi, points, m) -> _Plan:
     _fixed_order("app5", m)
@@ -482,7 +482,7 @@ def _suite_app6(lo, hi, points, m) -> _Plan:
 
 def _suite_app7(lo, hi, points, m) -> _Plan:
     _fixed_points("app7", points, "checks every integer n in [lo, hi]")
-    ns, sm = _int_grid(lo, hi, 1, 50), _or(m, 5)
+    ns, sm = _int_grid("app7", lo, hi, 1, 50), _or(m, 5)
     eq = "n = 1 is the stated equality case: upper bound meets the ratio exactly (flagged, not a violation)"
     return [_Check(_app7_margins, "n", ns, {"s": sm, "m": sm, "eq_tol": 1e-9})], lambda _: [eq] if 1 in ns else []
 

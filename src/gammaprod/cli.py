@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from . import coeffs as coeffs_mod
 from . import identities as ident_mod
 from . import polygamma as poly_mod
-from .errors import DomainError
+from .errors import HEAD_MAX, DomainError, check_int
 from .gamma import RationalArgument, beta, gamma_rational
 from .jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, joint_factor_bracket
 from .reference import ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma
@@ -92,12 +92,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-# The largest head length (--m, --n0) the library takes: beyond 2^53, m + 1 is not exact.
-_HEAD_MAX = 2**53
-
-
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
-    return TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=_in_range("--m", args.m, _HEAD_MAX))
+    return TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=check_int(args.m, "--m", 1, HEAD_MAX))
 
 
 _POLICY_FLAGS = {
@@ -216,9 +212,8 @@ def _dict_to_csv(payload: dict) -> str:
 
 
 def _do_gamma(args) -> tuple[Any, int]:
-    for flag, value in (("--q", args.q), ("--p", args.p)):
-        if value < 1:
-            raise DomainError(f"{flag} must be a positive integer, got {value}")
+    check_int(args.q, "--q", 1)
+    check_int(args.p, "--p", 1)
     if args.q > args.p:
         raise DomainError(f"--q must not exceed --p, got --q {args.q} --p {args.p}")
     arg = RationalArgument(args.q, args.p)
@@ -256,7 +251,7 @@ def _do_jointfactor(args) -> tuple[Any, int]:
 
 
 def _do_coeffs(args) -> tuple[Any, int]:
-    rec = coeffs_mod.g_sequence(args.x, args.b, _in_range("--n", args.n, coeffs_mod.N_MAX))
+    rec = coeffs_mod.g_sequence(args.x, args.b, check_int(args.n, "--n", 1, coeffs_mod.N_MAX))
     orc = coeffs_mod.g_sequence_oracle(args.x, args.b, args.n)
     diff = max(abs(a - b) for a, b in zip(rec.g, orc.g))
     payload = {
@@ -277,7 +272,7 @@ def _do_coeffs(args) -> tuple[Any, int]:
 def _do_polygamma(args) -> tuple[Any, int]:
     which = args.verb
     fn = poly_mod.digamma if which == "digamma" else poly_mod.trigamma
-    res = fn(args.t, _in_range("--n0", args.n0, _HEAD_MAX, low=10))
+    res = fn(args.t, check_int(args.n0, "--n0", 10, HEAD_MAX))
     oracle = ref_digamma(args.t) if which == "digamma" else ref_trigamma(args.t)
     payload = {
         "op": which,
@@ -310,17 +305,10 @@ def _do_beta(args) -> tuple[Any, int]:
     return payload, EXIT_OK
 
 
-def _in_range(flag: str, value: int, top: int, low: int = 1) -> int:
-    """``value`` if in [low, top], else a DomainError naming the flag the user typed."""
-    if not low <= value <= top:
-        raise DomainError(f"{flag} must lie in [{low}, {'2^53' if top == _HEAD_MAX else top}], got {value}")
-    return value
-
-
 def _do_identity(args) -> tuple[Any, int]:
     _check_target_flags(args, "--name", args.name)
     if args.name == "quarter":
-        partials = ident_mod.quarter_partials(_in_range("--m", args.m, ident_mod.QUARTER_M_MAX))
+        partials = ident_mod.quarter_partials(check_int(args.m, "--m", 1, ident_mod.QUARTER_M_MAX))
         classical, new = partials[0][-1], partials[1][-1]
         ref = ident_mod.quarter_reference()
         ahead = all(abs(c - ref) <= abs(n - ref) for c, n in zip(*partials))
@@ -338,7 +326,7 @@ def _do_identity(args) -> tuple[Any, int]:
         }
         return payload, EXIT_OK
     argument = args.b if args.name == "pow2" else args.x
-    chk = ident_mod.check_identity(args.name, argument, _in_range("--m", args.m, _HEAD_MAX), tail=args.tail)
+    chk = ident_mod.check_identity(args.name, argument, check_int(args.m, "--m", 1, HEAD_MAX), tail=args.tail)
     payload = {
         "op": "identity",
         "name": chk.name,
@@ -353,8 +341,8 @@ def _do_identity(args) -> tuple[Any, int]:
 
 
 def _do_bounds(args) -> tuple[Any, int]:
-    m = None if args.m is None else _in_range("--m", args.m, _HEAD_MAX)
-    points = None if args.points is None else _in_range("--points", args.points, bounds_mod.MAX_GRID_POINTS)
+    m = None if args.m is None else check_int(args.m, "--m", 1, HEAD_MAX)
+    points = None if args.points is None else check_int(args.points, "--points", 1, bounds_mod.MAX_GRID_POINTS)
     if args.lo is not None and args.hi is not None and args.hi < args.lo:
         raise DomainError(f"--hi must not lie below --lo, got --lo {args.lo!r} --hi {args.hi!r}")
     report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=points, m=m)
@@ -385,7 +373,7 @@ def _do_convergence(args) -> tuple[Any, int]:
     ms = _parse_m_list(args.m_list)
     rows: list[list[Any]] = []
     if args.target == "quarter":
-        classical, new = ident_mod.quarter_partials(_in_range("--m-list", ms[-1], ident_mod.QUARTER_M_MAX))
+        classical, new = ident_mod.quarter_partials(check_int(ms[-1], "--m-list", 1, ident_mod.QUARTER_M_MAX))
         ref = ident_mod.quarter_reference()
         header = ["m", "classical", "classical_abs_err", "new", "new_abs_err"]
         for m in ms:
@@ -393,7 +381,7 @@ def _do_convergence(args) -> tuple[Any, int]:
             rows.append([m, c, abs(c - ref), n, abs(n - ref)])
     elif args.target == "jointfactor":
         spec = JointFactorSpec(args.x, args.b)
-        _in_range("--m-list", ms[-1], _HEAD_MAX)
+        check_int(ms[-1], "--m-list", 1, HEAD_MAX)
         gap = _log_gamma_gap(args.x, args.b) if args.b > 0 else 0.0
         oracle = None if gap is None else math.exp(gap + ref_log_gamma(1.0 - args.b))
         header = ["m", "estimate", "abs_err_vs_oracle", "tail_corrected"]
@@ -401,7 +389,7 @@ def _do_convergence(args) -> tuple[Any, int]:
             est = joint_factor(spec, TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=m)).value
             rows.append([m, est, None if oracle is None else abs(est - oracle), bool(args.tail)])
     else:
-        _in_range("--m-list", ms[-1], poly_mod.RAW_SERIES_N_MAX)
+        check_int(ms[-1], "--m-list", 1, poly_mod.RAW_SERIES_N_MAX)
         oracle = ref_digamma(args.t)
         header = ["n0", "raw", "raw_abs_err", "accelerated", "accelerated_abs_err"]
         for m in ms:

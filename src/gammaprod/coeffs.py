@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ def _validate(x: float, b: float, N: int) -> None:
         raise DomainError(f"x must be positive, got {x}")
     if not 0.0 <= b < 1.0:
         raise DomainError(f"b must lie in [0, 1), got {b}")
-    if not 1 <= N <= N_MAX:
-        raise DomainError(f"N must lie in [1, {N_MAX}], got {N}")
+    check_int(N, "N", 1, N_MAX)
 
 
 def _finite(g: list[float], x: float, N: int) -> tuple[float, ...]:
@@ -125,8 +123,7 @@ def g_sequence_oracle(x: float, b: float, N: int) -> CoeffTable:
 
 def pochhammer(b: float, n: int) -> float:
     """Rising factorial (b)_n = b (b+1) ... (b+n-1), by direct product."""
-    if n < 0:
-        raise DomainError(f"pochhammer needs n >= 0, got {n}")
+    check_int(n, "n", 0)
     out = 1.0
     for i in range(n):
         out *= b + i
@@ -135,8 +132,7 @@ def pochhammer(b: float, n: int) -> float:
 
 def h_closed(n: int, b: float) -> float:
     """h_n = -(b)_n / (n * n!) for n >= 1 and 0 < b < 1."""
-    if n < 1:
-        raise DomainError(f"h_closed needs n >= 1, got {n}")
+    check_int(n, "n", 1)
     if not 0.0 < b < 1.0:
         raise DomainError(f"b must lie in (0, 1), got {b}")
     return -pochhammer(b, n) / (n * math.factorial(n))
@@ -146,15 +142,13 @@ def h_sequence(b: float, N: int) -> DerivTable:
     """h_1..h_N from the one-seed recursion (n+1)^2 h_{n+1} = n (n+b) h_n."""
     if not 0.0 < b < 1.0:
         raise DomainError(f"b must lie in (0, 1), got {b}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    check_int(N, "N", 1)
     h = [-b]
     for n in range(1, N):
         h.append(n * (n + b) * h[n - 1] / ((n + 1.0) * (n + 1.0)))
     return DerivTable(b, N, tuple(h))
 
 
-def sum_g(table: CoeffTable | Sequence[float]) -> float:
+def sum_g(table: CoeffTable) -> float:
     """Exactly rounded sum of a coefficient table."""
-    seq = table.g if isinstance(table, CoeffTable) else table
-    return math.fsum(seq)
+    return math.fsum(table.g)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .jointfactor import (
     JointFactorSpec,
     TruncationPolicy,
@@ -44,12 +44,14 @@ class RationalArgument:
     p: int
 
     def __post_init__(self) -> None:
-        if self.q < 1 or self.p < 1:
-            raise DomainError(f"q and p must be positive integers, got {self.q}/{self.p}")
-        g = math.gcd(self.q, self.p)
+        q, p = self.q, self.p
+        if type(q) is not int or type(p) is not int or q < 1 or p < 1:  # one test on every Gamma(q/p) call
+            check_int(q, "q", 1)
+            check_int(p, "p", 1)
+        g = math.gcd(q, p)
         if g > 1:
-            object.__setattr__(self, "q", self.q // g)
-            object.__setattr__(self, "p", self.p // g)
+            object.__setattr__(self, "q", q // g)
+            object.__setattr__(self, "p", p // g)
 
     @property
     def value(self) -> float:
@@ -135,8 +137,7 @@ def gamma_rational(arg: RationalArgument, policy: TruncationPolicy = TruncationP
 
 def gamma_inv_p_pow(p: int, policy: TruncationPolicy = TruncationPolicy()) -> float:
     """[Gamma(1/p)]^p = ((2 pi)^{p-1} / p) prod_{k=1}^{p-2} 1/f(1/p, k/p)."""
-    if p < 3:
-        raise DomainError(f"p must be >= 3, got {p}")
+    check_int(p, "p", 3)
     log_val = (p - 1) * math.log(_TWO_PI) - math.log(p)
     log_val -= _factor_log(p, policy).v_sum
     return _exp(log_val)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .gamma import RationalArgument, gamma_rational
 from .jointfactor import shifted_product
 
@@ -121,8 +121,7 @@ QUARTER_M_MAX = 1_000_000
 def quarter_partials(m_max: int) -> tuple[list[float], list[float]]:
     """Running partial products of both quarter identities for m = 1..m_max,
     1 <= m_max <= QUARTER_M_MAX."""
-    if not 1 <= m_max <= QUARTER_M_MAX:
-        raise DomainError(f"m_max must lie in [1, {QUARTER_M_MAX}], got {m_max}")
+    check_int(m_max, "m_max", 1, QUARTER_M_MAX)
     classical = []
     new = []
     c_acc = 4.0 * math.pi

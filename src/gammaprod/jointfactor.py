@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from . import coeffs
-from .errors import DomainError
+from .errors import HEAD_MAX, DomainError, check_int
 from .reference import _psi3, ref_digamma, ref_trigamma
 
 _MODES = ("fixed", "tail_corrected")
@@ -78,15 +78,6 @@ class JointFactorSpec:
         return math.copysign(1.0, d) if d != 0.0 else 0.0
 
 
-def _check_m(m: int, name: str = "m", low: int = 1) -> None:
-    """A head length ``name``: an int, not a bool or a float, in [low, 2^53];
-    beyond 2^53, m + 1 is not exact."""
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise DomainError(f"{name} must be an int, got {m!r}")
-    if not low <= m <= 2**53:
-        raise DomainError(f"{name} must lie in [{low}, 2^53], got {m}")
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How to truncate the product: mode and head length m.
@@ -102,7 +93,7 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise DomainError(f"unknown truncation mode {self.mode!r}")
-        _check_m(self.m)
+        check_int(self.m, "m", 1, HEAD_MAX)
 
 
 @dataclass(frozen=True)
@@ -227,7 +218,7 @@ def shifted_product(first: float, c: float, u: float, v: float, roots: tuple[flo
     large log through exp.  ``DomainError`` if the product lies beyond the
     double range.
     """
-    _check_m(m)
+    check_int(m, "m", 1, HEAD_MAX)
     log_rest = log_head(c, u, v, roots, m - 1, tail)
     value = first * _exp(log_rest)
     if not math.isfinite(value):
@@ -281,7 +272,7 @@ def _exp(log_value: float) -> float:
 
 def truncate(spec: JointFactorSpec, m: int) -> float:
     """The m-truncate f_m: the product of the first m factors, via logs."""
-    _check_m(m)
+    check_int(m, "m", 1, HEAD_MAX)
     return _exp(_log_truncate(spec, m))
 
 
@@ -303,7 +294,7 @@ def joint_factor_bracket(spec: JointFactorSpec, m: int) -> tuple[float, float]:
     part covers exp's rounding, as one nextafter step out does among
     subnormals.  ``DomainError`` when an end lies beyond the double range.
     """
-    _check_m(m)
+    check_int(m, "m", 1, HEAD_MAX)
     if spec.b == 0.0:  # f = 1 exactly
         return 1.0, 1.0
     c = _shifted(spec)[0]
@@ -337,7 +328,5 @@ def joint_factor_series(spec: JointFactorSpec, N: int) -> float:
     Converges like N^{-x}, much slower than the corrected product; it exists
     as an independent cross-check and to expose that contrast.
     """
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
     table = coeffs.g_sequence(spec.x, spec.b, N)
     return math.exp(-coeffs.sum_g(table))

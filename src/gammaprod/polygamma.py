@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .jointfactor import _STIRLING, _check_m
+from .errors import HEAD_MAX, DomainError, check_int
+from .jointfactor import _STIRLING
 from .reference import EULER_GAMMA, power_tail
 
 # B_2j/(2j) and B_2j from the Stirling coefficients B_2j/(2j (2j-1)).
@@ -43,7 +43,7 @@ class PolygammaResult:
 def _validate(t: float, n0: int) -> None:
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0, 1), got {t}")
-    _check_m(n0, "n0", 10)  # beyond 2^53, n0 + t cannot hold t
+    check_int(n0, "n0", 10, HEAD_MAX)  # beyond 2^53, n0 + t cannot hold t
 
 
 def _finite(value: float, name: str, t: float) -> float:
@@ -115,8 +115,7 @@ def digamma_series_raw(t: float, N: int) -> float:
     from f(1, 1-t) = Gamma(2-t) Gamma(t) = pi (1-t) / sin(pi t) by the exact
     ratio (n-t)/(n-1).  Converges like N^{-t}: it shows the acceleration."""
     _validate(t, 10)
-    if not 1 <= N <= RAW_SERIES_N_MAX:
-        raise DomainError(f"N must lie in [1, {RAW_SERIES_N_MAX}], got {N}")
+    check_int(N, "N", 1, RAW_SERIES_N_MAX)
     sin_pi_t = math.sin(math.pi * t)
     fn = math.pi * (1.0 - t) / sin_pi_t
     terms = [fn]

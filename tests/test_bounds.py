@@ -559,8 +559,9 @@ def test_points_moves_app8_once_lo_or_hi_is_given():
 @pytest.mark.parametrize("suite", ["app5", "app6", "app9", "app10"])
 @pytest.mark.parametrize("points", [0, -3])
 def test_points_below_one_is_rejected(suite, points):
-    with pytest.raises(DomainError, match="points must be >= 1"):
+    with pytest.raises(DomainError) as err:
         verify_suite(suite, points=points)
+    assert str(err.value) == f"points must lie in [1, 1000000], got {points}"
 
 
 @pytest.mark.parametrize("suite", ["app1", "app5", "app6", "app7", "app8", "app9", "app10"])
@@ -742,17 +743,21 @@ def test_app10_beyond_a_million_is_a_domain_error(capsys):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: app7_bounds(0, 5, 5), "n, s, m must all be >= 1"),
-    (lambda: app7_bounds(3, 0, 5), "n, s, m must all be >= 1"),
-    (lambda: app7_bounds(3, 5, 0), "n, s, m must all be >= 1"),
+    (lambda: app7_bounds(0, 5, 5), "n must be >= 1, got 0"),
+    (lambda: app7_bounds(3, 0, 5), "s must lie in [1, 2^53], got 0"),
+    (lambda: app7_bounds(3, 5, 0), "m must lie in [1, 2^53], got 0"),
     (lambda: app8_bound(0.0, 1), "alpha must be positive, got 0.0"),
     (lambda: app8_bound(-2.0, 3), "alpha must be positive, got -2.0"),
     (lambda: app9_alzer(0.0), "x must be positive, got 0.0"),
     (lambda: app9_alzer(-1.0), "x must be positive, got -1.0"),
     (lambda: app10_truncate_rhs(0.0), "x must be positive, got 0.0"),
     (lambda: app10_truncate_rhs(-0.5), "x must be positive, got -0.5"),
+    # cut down to a whole number, lo = 3.5 would check p = 3, below the lo given
+    (lambda: verify_suite("app1", lo=3.5, hi=4.9), "suite app1 checks whole numbers only; lo=3.5 is not one"),
+    (lambda: verify_suite("app1", lo=3.0, hi=4.9), "suite app1 checks whole numbers only; hi=4.9 is not one"),
+    (lambda: verify_suite("app7", lo=0.5), "suite app7 checks whole numbers only; lo=0.5 is not one"),
 ], ids=["app7-n0", "app7-s0", "app7-m0", "app8-zero", "app8-negative", "app9-zero", "app9-negative",
-        "app10-zero", "app10-negative"])
+        "app10-zero", "app10-negative", "app1-fractional-lo", "app1-fractional-hi", "app7-fractional-lo"])
 def test_bound_families_refuse_arguments_below_their_domain(call, message):
     with pytest.raises(DomainError) as err:
         call()

@@ -384,7 +384,7 @@ def test_coeffs_range_error_names_the_flag_typed(capsys):
      f"--m-list must lie in [1, 2^53], got {2**53 + 1}"),
     (("digamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
     (("trigamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
-    (("gamma", "--q", "0", "--p", "3"), "--q must be a positive integer, got 0"),
+    (("gamma", "--q", "0", "--p", "3"), "--q must be >= 1, got 0"),
     (("bounds", "--suite", "app10", "--points", "0"), "--points must lie in [1, 1000000], got 0"),
     (("bounds", "--suite", "app5", "--lo", "0.5", "--hi", "0.2"), "--hi must not lie below --lo, got --lo 0.5 --hi 0.2"),
     (("gamma", "--q", "5", "--p", "3"), "--q must not exceed --p, got --q 5 --p 3"),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid
-from gammaprod.bounds import app9_refined, verify_suite
+from gammaprod.bounds import app1_bounds, app7_ball_ratio, app7_bounds, app9_refined, uniform_grid, verify_suite
 from gammaprod.errors import DomainError
 from gammaprod.jointfactor import (
     Estimate,
@@ -24,8 +24,8 @@ from gammaprod.jointfactor import (
     log_partial_product,
     truncate,
 )
-from gammaprod import gamma, identities, jointfactor
-from gammaprod.polygamma import digamma, trigamma
+from gammaprod import coeffs, gamma, identities, jointfactor
+from gammaprod.polygamma import digamma, digamma_series_raw, trigamma, zeta_tail
 from gammaprod.reference import ref_log_gamma
 
 
@@ -378,21 +378,75 @@ def test_overflow_is_a_domain_error():
 _HALF_THIRD = JointFactorSpec(0.3, 0.5)
 
 
+_ROOTS = (1.0, 0.3, -0.5)  # shifted_product's check comes before it reads them
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: truncate(_HALF_THIRD, 2.0), "m must be an int, got 2.0"),
-    (lambda: truncate(_HALF_THIRD, True), "m must be an int, got True"),
-    (lambda: joint_factor_bracket(_HALF_THIRD, 2.0), "m must be an int, got 2.0"),
-    (lambda: joint_factor(_HALF_THIRD, TruncationPolicy(mode="fixed", m=2.5)), "m must be an int, got 2.5"),
-    (lambda: TruncationPolicy(m=2.5), "m must be an int, got 2.5"),
-    (lambda: verify_suite("app7", m=2.0), "m must be an int, got 2.0"),
-    (lambda: app9_refined(0.3, 2.0), "m must be an int, got 2.0"),
-    (lambda: app9_refined(0.3, 1.0), "m must be an int, got 1.0"),
-    (lambda: app9_refined(0.3, True), "m must be an int, got True"),
-    (lambda: digamma(0.3, 20.5), "n0 must be an int, got 20.5"),
-    (lambda: trigamma(0.3, 10.0), "n0 must be an int, got 10.0"),
-], ids=["truncate-float", "truncate-bool", "bracket-float", "joint_factor-float", "policy-float",
-        "verify_suite-float", "app9_refined-float", "app9_refined-one-float", "app9_refined-bool",
-        "digamma-float", "trigamma-float"])
+    pytest.param(lambda: truncate(_HALF_THIRD, 2.0), "m must be an int, got 2.0", id="truncate-float"),
+    pytest.param(lambda: truncate(_HALF_THIRD, True), "m must be an int, got True", id="truncate-bool"),
+    pytest.param(lambda: joint_factor_bracket(_HALF_THIRD, 2.0), "m must be an int, got 2.0", id="bracket-float"),
+    pytest.param(lambda: joint_factor_bracket(_HALF_THIRD, True), "m must be an int, got True", id="bracket-bool"),
+    pytest.param(lambda: joint_factor(_HALF_THIRD, TruncationPolicy(mode="fixed", m=2.5)), "m must be an int, got 2.5",
+                 id="joint_factor-float"),
+    pytest.param(lambda: TruncationPolicy(m=2.5), "m must be an int, got 2.5", id="policy-float"),
+    pytest.param(lambda: TruncationPolicy(m=True), "m must be an int, got True", id="policy-bool"),
+    pytest.param(lambda: jointfactor.shifted_product(1.0, 0.1, 0.5, 0.5, _ROOTS, 3.0, False), "m must be an int, got 3.0",
+                 id="shifted_product-float"),
+    pytest.param(lambda: jointfactor.shifted_product(1.0, 0.1, 0.5, 0.5, _ROOTS, True, False), "m must be an int, got True",
+                 id="shifted_product-bool"),
+    pytest.param(lambda: verify_suite("app7", m=2.0), "m must be an int, got 2.0", id="verify_suite-float"),
+    pytest.param(lambda: verify_suite("app7", m=True), "m must be an int, got True", id="verify_suite-bool"),
+    pytest.param(lambda: app9_refined(0.3, 2.0), "m must be an int, got 2.0", id="app9_refined-float"),
+    pytest.param(lambda: app9_refined(0.3, 1.0), "m must be an int, got 1.0", id="app9_refined-one-float"),
+    pytest.param(lambda: app9_refined(0.3, True), "m must be an int, got True", id="app9_refined-bool"),
+    pytest.param(lambda: app7_bounds(3, 5, 2.0), "m must be an int, got 2.0", id="app7_bounds-m-float"),
+    pytest.param(lambda: app7_bounds(3, 5, True), "m must be an int, got True", id="app7_bounds-m-bool"),
+    pytest.param(lambda: app7_bounds(3, 2.0, 5), "s must be an int, got 2.0", id="app7_bounds-s-float"),
+    pytest.param(lambda: app7_bounds(3, True, 5), "s must be an int, got True", id="app7_bounds-s-bool"),
+    pytest.param(lambda: app7_bounds(2.5, 5, 5), "n must be an int, got 2.5", id="app7_bounds-n-float"),
+    pytest.param(lambda: app7_bounds(True, 5, 5), "n must be an int, got True", id="app7_bounds-n-bool"),
+    pytest.param(lambda: app7_ball_ratio(2.5), "n must be an int, got 2.5", id="app7_ball_ratio-float"),
+    pytest.param(lambda: app7_ball_ratio(True), "n must be an int, got True", id="app7_ball_ratio-bool"),
+    pytest.param(lambda: digamma(0.3, 20.5), "n0 must be an int, got 20.5", id="digamma-float"),
+    pytest.param(lambda: digamma(0.3, True), "n0 must be an int, got True", id="digamma-bool"),
+    pytest.param(lambda: trigamma(0.3, 10.0), "n0 must be an int, got 10.0", id="trigamma-float"),
+    pytest.param(lambda: trigamma(0.3, True), "n0 must be an int, got True", id="trigamma-bool"),
+    pytest.param(lambda: zeta_tail(0.3, 10.0), "n0 must be an int, got 10.0", id="zeta_tail-float"),
+    pytest.param(lambda: zeta_tail(0.3, True), "n0 must be an int, got True", id="zeta_tail-bool"),
+    pytest.param(lambda: digamma_series_raw(0.3, 5.0), "N must be an int, got 5.0", id="digamma_series_raw-float"),
+    pytest.param(lambda: digamma_series_raw(0.3, True), "N must be an int, got True", id="digamma_series_raw-bool"),
+    pytest.param(lambda: coeffs.g_sequence(0.5, 0.3, 5.0), "N must be an int, got 5.0", id="g_sequence-float"),
+    pytest.param(lambda: coeffs.g_sequence(0.5, 0.3, True), "N must be an int, got True", id="g_sequence-bool"),
+    pytest.param(lambda: coeffs.g_sequence_oracle(0.5, 0.3, 5.0), "N must be an int, got 5.0", id="g_sequence_oracle-float"),
+    pytest.param(lambda: coeffs.g_sequence_oracle(0.5, 0.3, True), "N must be an int, got True",
+                 id="g_sequence_oracle-bool"),
+    pytest.param(lambda: joint_factor_series(_HALF_THIRD, 5.0), "N must be an int, got 5.0", id="joint_factor_series-float"),
+    pytest.param(lambda: joint_factor_series(_HALF_THIRD, True), "N must be an int, got True", id="joint_factor_series-bool"),
+    pytest.param(lambda: coeffs.h_sequence(0.3, 5.0), "N must be an int, got 5.0", id="h_sequence-float"),
+    pytest.param(lambda: coeffs.h_sequence(0.3, True), "N must be an int, got True", id="h_sequence-bool"),
+    pytest.param(lambda: coeffs.h_closed(5.0, 0.3), "n must be an int, got 5.0", id="h_closed-float"),
+    pytest.param(lambda: coeffs.h_closed(True, 0.3), "n must be an int, got True", id="h_closed-bool"),
+    pytest.param(lambda: coeffs.pochhammer(0.3, 5.0), "n must be an int, got 5.0", id="pochhammer-float"),
+    pytest.param(lambda: coeffs.pochhammer(0.3, True), "n must be an int, got True", id="pochhammer-bool"),
+    pytest.param(lambda: identities.quarter_partials(5.0), "m_max must be an int, got 5.0", id="quarter_partials-float"),
+    pytest.param(lambda: identities.quarter_partials(True), "m_max must be an int, got True", id="quarter_partials-bool"),
+    pytest.param(lambda: identities.gamma_quarter_squared(5.0), "m_max must be an int, got 5.0",
+                 id="gamma_quarter_squared-float"),
+    pytest.param(lambda: identities.gamma_quarter_squared(True), "m_max must be an int, got True",
+                 id="gamma_quarter_squared-bool"),
+    pytest.param(lambda: uniform_grid(0.1, 0.9, 5.0), "points must be an int, got 5.0", id="uniform_grid-float"),
+    pytest.param(lambda: uniform_grid(0.1, 0.9, True), "points must be an int, got True", id="uniform_grid-bool"),
+    pytest.param(lambda: verify_suite("app5", points=5.0), "points must be an int, got 5.0", id="verify_suite-points-float"),
+    pytest.param(lambda: verify_suite("app5", points=True), "points must be an int, got True", id="verify_suite-points-bool"),
+    pytest.param(lambda: gamma.RationalArgument(1.0, 3), "q must be an int, got 1.0", id="RationalArgument-q-float"),
+    pytest.param(lambda: gamma.RationalArgument(True, 3), "q must be an int, got True", id="RationalArgument-q-bool"),
+    pytest.param(lambda: gamma.RationalArgument(1, 3.0), "p must be an int, got 3.0", id="RationalArgument-p-float"),
+    pytest.param(lambda: gamma.RationalArgument(1, True), "p must be an int, got True", id="RationalArgument-p-bool"),
+    pytest.param(lambda: gamma.gamma_inv_p_pow(7.0), "p must be an int, got 7.0", id="gamma_inv_p_pow-float"),
+    pytest.param(lambda: gamma.gamma_inv_p_pow(True), "p must be an int, got True", id="gamma_inv_p_pow-bool"),
+    pytest.param(lambda: app1_bounds(5.0), "p must be an int, got 5.0", id="app1_bounds-float"),
+    pytest.param(lambda: app1_bounds(True), "p must be an int, got True", id="app1_bounds-bool"),
+])
 def test_a_head_length_that_is_not_an_int_is_a_domain_error(call, message):
     with pytest.raises(DomainError) as err:
         call()

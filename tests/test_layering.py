@@ -3,11 +3,13 @@
 Agreement between a product value and ``gammaprod.reference`` is evidence
 only while the two share no code, so the modules listed here must not
 import from it, and the oracle imports nothing from the package but its
-error type.  Every name a module exports in ``__all__`` must resolve.
+error type.  Every name a module exports in ``__all__`` must resolve, and
+only ``errors.check_int`` words the range of a count.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "gammaprod"
 
 # jointfactor.py and polygamma.py join this list once the benchmark remap of
-# ROADMAP item 4 stops tracing the helpers that still import the oracle.
+# ROADMAP item 8 stops tracing the helpers that still import the oracle.
 ORACLE_FREE = ("gamma.py", "identities.py")
 
 
@@ -93,3 +95,15 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+# The count messages of errors.check_int; "b must lie in [0, 1)" is a real interval, not a count.
+_COUNT_MESSAGE = re.compile(r"must be an int|must be >= |must lie in \[[^\])]*\]")
+
+
+def test_only_errors_words_a_count_message():
+    assert _COUNT_MESSAGE.search("m must lie in [1, 2^53], got 0")
+    assert not _COUNT_MESSAGE.search("b must lie in [0, 1), got 1.0")
+    found = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if _COUNT_MESSAGE.search(line)]
+    assert found == []
