@@ -77,7 +77,7 @@ def uniform_grid(lo: float, hi: float, points: int, include_lo: bool = True, inc
     ``DomainError``."""
     check_int(points, "points", 1, MAX_GRID_POINTS)
     if hi <= lo:
-        raise DomainError(f"need hi > lo, got lo = {lo!r}, hi = {hi!r}")
+        raise DomainError(f"need hi > lo, got lo = {lo!r}, hi = {hi!r}", "lo", "hi")
     if hi - lo == math.inf:
         raise DomainError(f"the span hi - lo exceeds the double range: lo = {lo!r}, hi = {hi!r}")
     step = (hi - lo) / (points - 1) if points > 1 else 0.0
@@ -444,19 +444,21 @@ def _or(value, default):
 def _fixed_order(suite: str, m: int | None) -> None:
     """Suites whose claims name their own truncation order (or none) reject ``m``."""
     if m is not None:
-        raise DomainError(f"suite {suite} asserts its claims at a fixed truncation order; m={m} cannot apply")
+        raise DomainError(f"suite {suite} asserts its claims at a fixed truncation order; m={m} cannot apply", "m")
 
 def _fixed_points(suite: str, points: int | None, why: str) -> None:
     """Grids that ``points`` cannot reach reject it."""
     if points is not None:
-        raise DomainError(f"suite {suite} {why}; points={points} cannot apply")
+        raise DomainError(f"suite {suite} {why}; points={points} cannot apply", "points")
 
 def _int_grid(suite: str, lo: float | None, hi: float | None, default_lo: int, default_hi: int) -> range:
     """Every integer in [lo, hi]; an end that is not a whole number is refused, not cut to one."""
     for name, end in (("lo", lo), ("hi", hi)):
         if end is not None and end != int(end):
-            raise DomainError(f"suite {suite} checks whole numbers only; {name}={end!r} is not one")
+            raise DomainError(f"suite {suite} checks whole numbers only; {name}={end!r} is not one", name)
     first, last = int(_or(lo, default_lo)), int(_or(hi, default_hi))
+    if first < default_lo or last < first:
+        raise DomainError(f"suite {suite} needs {default_lo} <= lo <= hi, got lo = {first}, hi = {last}", "lo", "hi")
     if last - first >= MAX_GRID_POINTS:
         raise DomainError(f"grid [{first}, {last}] has more than {MAX_GRID_POINTS} points")
     return range(first, last + 1)
@@ -531,8 +533,11 @@ def _suite_app9(lo, hi, points, m) -> _Plan:
 
 def _suite_app10(lo, hi, points, m) -> _Plan:
     _fixed_order("app10", m)
+    xs = uniform_grid(_or(lo, 0.05), _or(hi, 50.0), _or(points, 1000))  # first: a span error precedes the hi one
+    if hi is not None and hi > _V_X_MAX:
+        raise DomainError(f"app10 resolves v(x) for 0 < x <= 1e6 only, got hi = {hi!r}", "hi")
     return [
-        _Check(_app10_margins, "x", uniform_grid(_or(lo, 0.05), _or(hi, 50.0), _or(points, 1000))),
+        _Check(_app10_margins, "x", xs),
         _Check(_app10_improvement_margins, "x", uniform_grid(1e-4, 0.5, 10000, include_hi=False)),
         _Check(_app10_remark_margins, "x", uniform_grid(0.144, 0.5, _or(points, 1000), include_hi=False)),
     ], lambda _: []
@@ -560,10 +565,10 @@ def verify_suite(
     """Run one suite's assertions over its grid and report the outcome.
 
     ``lo``/``hi``/``points`` override the suite's primary grid (for app1 and
-    app7 they are integer ranges, which ``points`` cannot reach: it is a
-    ``DomainError`` there, as it is for app8 without ``lo`` or ``hi``);
-    ``lo`` and ``hi`` must be finite, as must a float grid's ``hi - lo``,
-    and a grid must hold at least one and at most ``MAX_GRID_POINTS``
+    app7 they are integer ranges from the family's least value on, lo <= hi,
+    which ``points`` cannot reach: it is a ``DomainError`` there, as for app8
+    without ``lo`` or ``hi``); ``lo`` and ``hi`` must be finite, as must a
+    float grid's ``hi - lo``, and a grid holds at most ``MAX_GRID_POINTS``
     points; a check whose grid is empty is a
     ``DomainError`` naming it, raised before any point is evaluated.  ``m``
     overrides the truncation order used by the bound being tested in app6,
@@ -577,7 +582,7 @@ def verify_suite(
         raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")
     for name, value in (("lo", lo), ("hi", hi)):
         if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+            raise DomainError(f"{name} must be finite, got {value}", name)
     checks, notes = _SUITES[suite](lo, hi, points, m)
     for i, c in enumerate(checks, 1):
         if not c.grid:

@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from . import coeffs as coeffs_mod
 from . import identities as ident_mod
 from . import polygamma as poly_mod
-from .errors import HEAD_MAX, DomainError, check_int
+from .errors import DomainError
 from .gamma import RationalArgument, beta, gamma_rational
 from .jointfactor import JointFactorSpec, TruncationPolicy, joint_factor, joint_factor_bracket
 from .reference import ref_digamma, ref_gamma, ref_log_gamma, ref_trigamma
@@ -93,7 +93,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
-    return TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=check_int(args.m, "--m", 1, HEAD_MAX))
+    return TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=args.m)
 
 
 _POLICY_FLAGS = {
@@ -202,20 +202,11 @@ def _check_target_flags(args, key: str, target: str) -> None:
 
 
 def _dict_to_csv(payload: dict) -> str:
-    row = []
-    for v in payload.values():
-        if isinstance(v, (list, tuple)):
-            row.append("; ".join(str(item) for item in v))
-        else:
-            row.append(v)
+    row = ["; ".join(str(item) for item in v) if isinstance(v, (list, tuple)) else v for v in payload.values()]
     return _render_csv(list(payload.keys()), [row])
 
 
 def _do_gamma(args) -> tuple[Any, int]:
-    check_int(args.q, "--q", 1)
-    check_int(args.p, "--p", 1)
-    if args.q > args.p:
-        raise DomainError(f"--q must not exceed --p, got --q {args.q} --p {args.p}")
     arg = RationalArgument(args.q, args.p)
     gv = gamma_rational(arg, _policy(args))
     oracle = ref_gamma(arg.value)
@@ -251,7 +242,7 @@ def _do_jointfactor(args) -> tuple[Any, int]:
 
 
 def _do_coeffs(args) -> tuple[Any, int]:
-    rec = coeffs_mod.g_sequence(args.x, args.b, check_int(args.n, "--n", 1, coeffs_mod.N_MAX))
+    rec = coeffs_mod.g_sequence(args.x, args.b, args.n)
     orc = coeffs_mod.g_sequence_oracle(args.x, args.b, args.n)
     diff = max(abs(a - b) for a, b in zip(rec.g, orc.g))
     payload = {
@@ -272,7 +263,7 @@ def _do_coeffs(args) -> tuple[Any, int]:
 def _do_polygamma(args) -> tuple[Any, int]:
     which = args.verb
     fn = poly_mod.digamma if which == "digamma" else poly_mod.trigamma
-    res = fn(args.t, check_int(args.n0, "--n0", 10, HEAD_MAX))
+    res = fn(args.t, args.n0)
     oracle = ref_digamma(args.t) if which == "digamma" else ref_trigamma(args.t)
     payload = {
         "op": which,
@@ -308,7 +299,7 @@ def _do_beta(args) -> tuple[Any, int]:
 def _do_identity(args) -> tuple[Any, int]:
     _check_target_flags(args, "--name", args.name)
     if args.name == "quarter":
-        partials = ident_mod.quarter_partials(check_int(args.m, "--m", 1, ident_mod.QUARTER_M_MAX))
+        partials = ident_mod.quarter_partials(args.m)
         classical, new = partials[0][-1], partials[1][-1]
         ref = ident_mod.quarter_reference()
         ahead = all(abs(c - ref) <= abs(n - ref) for c, n in zip(*partials))
@@ -326,7 +317,7 @@ def _do_identity(args) -> tuple[Any, int]:
         }
         return payload, EXIT_OK
     argument = args.b if args.name == "pow2" else args.x
-    chk = ident_mod.check_identity(args.name, argument, check_int(args.m, "--m", 1, HEAD_MAX), tail=args.tail)
+    chk = ident_mod.check_identity(args.name, argument, args.m, tail=args.tail)
     payload = {
         "op": "identity",
         "name": chk.name,
@@ -341,11 +332,7 @@ def _do_identity(args) -> tuple[Any, int]:
 
 
 def _do_bounds(args) -> tuple[Any, int]:
-    m = None if args.m is None else check_int(args.m, "--m", 1, HEAD_MAX)
-    points = None if args.points is None else check_int(args.points, "--points", 1, bounds_mod.MAX_GRID_POINTS)
-    if args.lo is not None and args.hi is not None and args.hi < args.lo:
-        raise DomainError(f"--hi must not lie below --lo, got --lo {args.lo!r} --hi {args.hi!r}")
-    report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=points, m=m)
+    report = bounds_mod.verify_suite(args.suite, lo=args.lo, hi=args.hi, points=args.points, m=args.m)
     payload = {
         "op": "bounds",
         "suite": report.suite,
@@ -373,7 +360,7 @@ def _do_convergence(args) -> tuple[Any, int]:
     ms = _parse_m_list(args.m_list)
     rows: list[list[Any]] = []
     if args.target == "quarter":
-        classical, new = ident_mod.quarter_partials(check_int(ms[-1], "--m-list", 1, ident_mod.QUARTER_M_MAX))
+        classical, new = ident_mod.quarter_partials(ms[-1])
         ref = ident_mod.quarter_reference()
         header = ["m", "classical", "classical_abs_err", "new", "new_abs_err"]
         for m in ms:
@@ -381,7 +368,6 @@ def _do_convergence(args) -> tuple[Any, int]:
             rows.append([m, c, abs(c - ref), n, abs(n - ref)])
     elif args.target == "jointfactor":
         spec = JointFactorSpec(args.x, args.b)
-        check_int(ms[-1], "--m-list", 1, HEAD_MAX)
         gap = _log_gamma_gap(args.x, args.b) if args.b > 0 else 0.0
         oracle = None if gap is None else math.exp(gap + ref_log_gamma(1.0 - args.b))
         header = ["m", "estimate", "abs_err_vs_oracle", "tail_corrected"]
@@ -389,7 +375,6 @@ def _do_convergence(args) -> tuple[Any, int]:
             est = joint_factor(spec, TruncationPolicy(mode="tail_corrected" if args.tail else "fixed", m=m)).value
             rows.append([m, est, None if oracle is None else abs(est - oracle), bool(args.tail)])
     else:
-        check_int(ms[-1], "--m-list", 1, poly_mod.RAW_SERIES_N_MAX)
         oracle = ref_digamma(args.t)
         header = ["n0", "raw", "raw_abs_err", "accelerated", "accelerated_abs_err"]
         for m in ms:
@@ -405,6 +390,9 @@ def _do_convergence(args) -> tuple[Any, int]:
         return payload, EXIT_OK
     return ("csv", _render_csv(header, rows)), EXIT_OK
 
+
+# The library's input names that differ from the flag that sets them, per verb.
+_FLAGS = {"coeffs": {"N": "--n"}, "convergence": {"m": "--m-list", "N": "--m-list"}}
 
 _HANDLERS = {
     "gamma": _do_gamma,
@@ -431,7 +419,10 @@ def run(argv: Sequence[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        text = str(exc)
+        for param in exc.params:  # each input the library blames, named by the flag typed
+            text = re.sub(rf"\b{param}\b", _FLAGS.get(args.verb, {}).get(param, "--" + param), text)
+        print(f"domain error: {text}", file=sys.stderr)
         return EXIT_DOMAIN
     except SystemExit:  # argparse --help
         return EXIT_OK

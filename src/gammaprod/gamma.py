@@ -129,7 +129,7 @@ def gamma_rational(arg: RationalArgument, policy: TruncationPolicy = TruncationP
     """
     q, p = arg.q, arg.p
     if q > p:
-        raise DomainError(f"q/p must lie in (0, 1], got {q}/{p}")
+        raise DomainError(f"q/p must lie in (0, 1], got {q}/{p}", "q", "p")
     if p <= 2:
         return _GAMMA_ONE if p == 1 else _GAMMA_HALF
     return _factor_log(p, policy).values[q - 1]

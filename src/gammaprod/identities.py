@@ -118,15 +118,15 @@ def gamma_quarter_squared(m: int) -> tuple[float, float]:
 QUARTER_M_MAX = 1_000_000
 
 
-def quarter_partials(m_max: int) -> tuple[list[float], list[float]]:
-    """Running partial products of both quarter identities for m = 1..m_max,
-    1 <= m_max <= QUARTER_M_MAX."""
-    check_int(m_max, "m_max", 1, QUARTER_M_MAX)
+def quarter_partials(m: int) -> tuple[list[float], list[float]]:
+    """Running partial products of both quarter identities at orders 1..m,
+    1 <= m <= QUARTER_M_MAX."""
+    check_int(m, "m", 1, QUARTER_M_MAX)
     classical = []
     new = []
     c_acc = 4.0 * math.pi
     n_acc = math.pi * math.sqrt(2.0 * math.pi)
-    for k in range(1, m_max + 1):
+    for k in range(1, m + 1):
         c_acc *= (4.0 * k - 1.0) / (4.0 * k + 1.0) * math.sqrt((2.0 * k + 1.0) / (2.0 * k - 1.0))
         n_acc *= (2.0 * k - 1.0) / (2.0 * k) * (4.0 * k - 1.0) / (4.0 * k - 3.0)
         classical.append(c_acc)

@@ -386,8 +386,17 @@ def test_coeffs_range_error_names_the_flag_typed(capsys):
     (("trigamma", "--t", "0.5", "--n0", "5"), "--n0 must lie in [10, 2^53], got 5"),
     (("gamma", "--q", "0", "--p", "3"), "--q must be >= 1, got 0"),
     (("bounds", "--suite", "app10", "--points", "0"), "--points must lie in [1, 1000000], got 0"),
-    (("bounds", "--suite", "app5", "--lo", "0.5", "--hi", "0.2"), "--hi must not lie below --lo, got --lo 0.5 --hi 0.2"),
-    (("gamma", "--q", "5", "--p", "3"), "--q must not exceed --p, got --q 5 --p 3"),
+    (("bounds", "--suite", "app5", "--lo", "0.5", "--hi", "0.2"), "need --hi > --lo, got --lo = 0.5, --hi = 0.2"),
+    (("gamma", "--q", "5", "--p", "3"), "--q/--p must lie in (0, 1], got 5/3"),
+    (("bounds", "--suite", "app1", "--points", "5"), "suite app1 checks every integer p in [lo, hi]; --points=5 cannot apply"),
+    (("bounds", "--suite", "app9", "--m", "5"), "suite app9 asserts its claims at a fixed truncation order; --m=5 cannot apply"),
+    (("bounds", "--suite", "app1", "--lo", "3.5"), "suite app1 checks whole numbers only; --lo=3.5 is not one"),
+    (("bounds", "--suite", "app5", "--lo", "0.5", "--hi", "0.5"), "need --hi > --lo, got --lo = 0.5, --hi = 0.5"),
+    (("bounds", "--suite", "app10", "--hi", "2e6"), "app10 resolves v(x) for 0 < x <= 1e6 only, got --hi = 2000000.0"),
+    (("bounds", "--suite", "app1", "--lo", "2"), "suite app1 needs 3 <= --lo <= --hi, got --lo = 2, --hi = 12"),
+    (("bounds", "--suite", "app7", "--lo", "0"), "suite app7 needs 1 <= --lo <= --hi, got --lo = 0, --hi = 50"),
+    # the fraction is reduced before it is refused
+    (("gamma", "--q", "4", "--p", "2"), "--q/--p must lie in (0, 1], got 2/1"),
 ])
 def test_head_length_errors_name_the_flag_typed(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)

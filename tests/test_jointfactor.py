@@ -428,11 +428,11 @@ _ROOTS = (1.0, 0.3, -0.5)  # shifted_product's check comes before it reads them
     pytest.param(lambda: coeffs.h_closed(True, 0.3), "n must be an int, got True", id="h_closed-bool"),
     pytest.param(lambda: coeffs.pochhammer(0.3, 5.0), "n must be an int, got 5.0", id="pochhammer-float"),
     pytest.param(lambda: coeffs.pochhammer(0.3, True), "n must be an int, got True", id="pochhammer-bool"),
-    pytest.param(lambda: identities.quarter_partials(5.0), "m_max must be an int, got 5.0", id="quarter_partials-float"),
-    pytest.param(lambda: identities.quarter_partials(True), "m_max must be an int, got True", id="quarter_partials-bool"),
-    pytest.param(lambda: identities.gamma_quarter_squared(5.0), "m_max must be an int, got 5.0",
+    pytest.param(lambda: identities.quarter_partials(5.0), "m must be an int, got 5.0", id="quarter_partials-float"),
+    pytest.param(lambda: identities.quarter_partials(True), "m must be an int, got True", id="quarter_partials-bool"),
+    pytest.param(lambda: identities.gamma_quarter_squared(5.0), "m must be an int, got 5.0",
                  id="gamma_quarter_squared-float"),
-    pytest.param(lambda: identities.gamma_quarter_squared(True), "m_max must be an int, got True",
+    pytest.param(lambda: identities.gamma_quarter_squared(True), "m must be an int, got True",
                  id="gamma_quarter_squared-bool"),
     pytest.param(lambda: uniform_grid(0.1, 0.9, 5.0), "points must be an int, got 5.0", id="uniform_grid-float"),
     pytest.param(lambda: uniform_grid(0.1, 0.9, True), "points must be an int, got True", id="uniform_grid-bool"),

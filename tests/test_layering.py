@@ -4,7 +4,8 @@ Agreement between a product value and ``gammaprod.reference`` is evidence
 only while the two share no code, so the modules listed here must not
 import from it, and the oracle imports nothing from the package but its
 error type.  Every name a module exports in ``__all__`` must resolve, and
-only ``errors.check_int`` words the range of a count.
+only ``errors.check_int`` words the range of a count.  The CLI checks no
+input itself: it only renames, by flag, the inputs a library error blames.
 """
 
 import ast
@@ -107,3 +108,8 @@ def test_only_errors_words_a_count_message():
     found = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if _COUNT_MESSAGE.search(line)]
     assert found == []
+    # nor does the CLI keep a copy of the library's checks, under its flags
+    copies = [node.lineno for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+              if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_int"
+              or isinstance(node, ast.Raise) and "DomainError" in ast.unparse(node)]
+    assert copies == []
